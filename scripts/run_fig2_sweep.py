@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-from qot.cli import main as qot_main
+from qot import cli
+from qot.errors import QotError
 
 
 def run(argv=None):
@@ -20,20 +21,19 @@ def run(argv=None):
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
 
-    rc = qot_main(
-        ["fig2", "--points", str(args.points), "--out", args.out,
-         "--jobs", str(args.jobs)]
-    )
-    if rc != 0:
-        return rc
-    lines = open(args.out, "r", encoding="utf-8").read().strip().split("\n")
-    body = [ln for ln in lines[1:] if not ln.startswith("phi0")]
-    rows = np.array([[float(x) for x in ln.split(",")] for ln in body])
-    print(f"wrote {args.out} ({len(body)} rows)")
-    print(f"phi = 0:      general {rows[0, 1]:.6f}   ppt {rows[0, 2]:.6f}")
-    print(f"phi = pi/2:   general {rows[-1, 1]:.6f}   ppt {rows[-1, 2]:.6f}")
-    if lines[-1].startswith("phi0"):
-        phi0 = float(lines[-1].split(",")[1])
+    try:
+        phis, results, phi0 = cli.fig2_sweep(args.points, args.jobs)
+    except QotError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except cli.SweepFailure as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
+    cli.write_fig2_csv(args.out, phis, results, phi0)
+    print(f"wrote {args.out} ({len(phis)} rows)")
+    print(f"phi = 0:      general {results[0][0]:.6f}   ppt {results[0][1]:.6f}")
+    print(f"phi = pi/2:   general {results[-1][0]:.6f}   ppt {results[-1][1]:.6f}")
+    if phi0 is not None:
         print(f"curves coincide beyond phi0 = {phi0:.6f} rad "
               f"({phi0 / np.pi:.4f} pi)")
     return 0

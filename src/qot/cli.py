@@ -25,7 +25,7 @@ import numpy as np
 from . import coupling as cp
 from . import entanglement as ent
 from . import wasserstein as ws
-from .errors import QotError
+from .errors import InvalidDimension, QotError
 from .qstates import HermitianOperator, as_density, pauli, validate_density, xbasis_state
 
 GAP_THRESHOLD = 1e-6  # general vs PPT coincidence threshold for phi0
@@ -173,31 +173,54 @@ def _bisect_phi0(lo: float, hi: float, tol: float = 1e-9) -> float | None:
     return (lo + hi) / 2
 
 
-def cmd_fig2(args) -> int:
-    if args.points < 8:
-        raise _CliError(f"--points must be at least 8, got {args.points}")
-    phis = np.linspace(0.0, np.pi / 2, args.points)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+class SweepFailure(Exception):
+    """A solve of the fig2 sweep ended uncertified (exit code 2)."""
+
+
+def fig2_sweep(points: int, jobs: int = 1):
+    """General-vs-PPT values on a grid over [0, pi/2], then bisection of
+    the first grid cell where the curves meet.
+
+    Returns (phis, results, phi0): ``results`` holds (general, ppt, ok)
+    per grid point, and ``phi0`` is None when the curves do not meet on the
+    grid.  Raises InvalidDimension for fewer than 8 points and
+    SweepFailure when a solve is not certified.
+    """
+    if points < 8:
+        raise InvalidDimension(f"--points must be at least 8, got {points}")
+    phis = np.linspace(0.0, np.pi / 2, points)
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         results = list(pool.map(_sweep_point, phis))
     if not all(ok for _, _, ok in results):
-        sys.stderr.write("solver failed on at least one sweep point\n")
-        return 2
+        raise SweepFailure("solver failed on at least one sweep point")
     gaps = [p - g for g, p, _ in results]
     phi0 = None
     for i in range(len(phis) - 1):
         if gaps[i] > GAP_THRESHOLD >= gaps[i + 1]:
             phi0 = _bisect_phi0(phis[i], phis[i + 1])
             if phi0 is None:
-                sys.stderr.write("solver failure during bisection\n")
-                return 2
+                raise SweepFailure("solver failure during bisection")
             break
+    return phis, results, phi0
+
+
+def write_fig2_csv(path, phis, results, phi0) -> None:
     lines = ["phi,d2_general,d2_ppt"]
     for phi, (g, p, _) in zip(phis, results):
         lines.append(f"{phi:.10e},{g:.10e},{p:.10e}")
     if phi0 is not None:
         lines.append(f"phi0,{phi0:.10e},{phi0 / np.pi:.10e}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def cmd_fig2(args) -> int:
+    try:
+        phis, results, phi0 = fig2_sweep(args.points, args.jobs)
+    except SweepFailure as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
+    write_fig2_csv(args.out, phis, results, phi0)
     return 0
 
 

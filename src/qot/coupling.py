@@ -30,6 +30,7 @@ singular or outright rank-deficient.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,10 +43,13 @@ from .errors import (
     InvalidDimension,
     MarginalMismatch,
 )
-from .qstates import DensityMatrix, as_density
+from .qstates import DensityMatrix, as_density, symmetric_isometry
 
 PPT_EXTENSION_CAP = 3
 SUPPORT_CUTOFF = 1e-12
+# Extensions whose compile-time data would exceed this many bytes are
+# refused up front (see extension_memory_estimate).
+EXTENSION_MEMORY_BUDGET = 2 * 1024**3
 
 EXACT_SEPARABLE = "ExactSeparable"
 LOWER_BOUND_ONLY = "LowerBoundOnly"
@@ -121,10 +125,12 @@ class CouplingProblem:
     """Constraint data for one coupling optimization.
 
     The Hermitian variable lives on ``var_cdim`` complex dimensions;
-    ``cone_maps`` sends it to the matrices that must be PSD (the first map
-    always reproducing the variable itself), ``eq_rows`` are (A, b)
-    equality pairs on the variable, and ``lift_cost`` / ``extract_coupling``
-    translate between the d^2 coupling space and the variable space.
+    ``cone_maps`` sends it (or a stack of variables) to the matrices that
+    must be PSD (the first map always reproducing the variable itself),
+    the equality constraints read Tr(eq_rows[i] X) = eq_rhs[i] with
+    ``eq_rows`` one (k, var_cdim, var_cdim) stack, and ``lift_cost`` /
+    ``extract_coupling`` translate between the d^2 coupling space and the
+    variable space.
     """
 
     rho: DensityMatrix
@@ -133,7 +139,8 @@ class CouplingProblem:
     convention: str
     var_cdim: int
     cone_maps: list
-    eq_rows: list
+    eq_rows: np.ndarray
+    eq_rhs: np.ndarray
     lift_cost: object
     extract_coupling: object
     feasible_witness: np.ndarray | None = None
@@ -144,25 +151,46 @@ class CouplingProblem:
         return self.rho.dim
 
 
-def _herm_basis(d: int):
-    """Orthonormal Hermitian basis matching linalg.herm_to_vec coordinates."""
-    basis = []
-    for i in range(d * d):
-        v = np.zeros(d * d)
-        v[i] = 1.0
-        basis.append(linalg.vec_to_herm(v, d))
-    return basis
+def _herm_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis matching linalg.herm_to_vec coordinates,
+    as one (d^2, d, d) stack."""
+    return linalg.vec_to_herm(np.eye(d * d), d)
 
 
 def _marginal_rows(m1, m2, embed1, embed2):
     """Marginal constraints in compressed coordinates: the reduced states
-    must equal m1 and m2 (the trace constraint sits in their span)."""
-    rows = []
-    for e in _herm_basis(m1.shape[0]):
-        rows.append((embed1(e), linalg.frob_inner(e, m1)))
-    for e in _herm_basis(m2.shape[0]):
-        rows.append((embed2(e), linalg.frob_inner(e, m2)))
-    return rows
+    must equal m1 and m2 (the trace constraint sits in their span).
+    ``embed1``/``embed2`` act on a whole basis stack; returns (rows, rhs)."""
+    b1, b2 = _herm_basis(m1.shape[0]), _herm_basis(m2.shape[0])
+    rows = np.concatenate([embed1(b1), embed2(b2)])
+    rhs = np.concatenate([linalg.frob_inner(b1, m1), linalg.frob_inner(b2, m2)])
+    return rows, rhs
+
+
+def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
+    """Bytes the compile step of an n:1 extension holds at its peak, for
+    marginal ranks r1 and r2.
+
+    Counted: the Hermitian basis of the variable and its n - 1 stacks of
+    swap rows; the stack of all equality rows and its real coordinates,
+    with the full SVD of those (input copy, U, V^T and workspace); and the
+    engine's constraint data, about six live copies of the realified
+    stacks of the free directions, one (2 nc)^2 block per cone.
+    """
+    nc = r1**n * r2
+    var = nc * nc  # real dimension of the variable
+    n_rows = 1 + r1 * r1 + r2 * r2 + (n - 1) * var
+    # Free directions: permutation-invariant Hermitian operators, i.e.
+    # r2^2 times the symmetric n-th power of the r1^2 operator space,
+    # less the independent marginal rows.
+    free = r2 * r2 * math.comb(r1 * r1 + n - 1, n) - (r1 * r1 + r2 * r2 - 1)
+    basis_and_swaps = 16 * var * var * n
+    eq_rows = 16 * n_rows * var + 2 * 8 * n_rows * var
+    svd = 8 * (
+        2 * n_rows * var + n_rows * n_rows + var * var + 4 * min(n_rows, var) ** 2
+    )
+    engine = 6 * 8 * free * (n + 1) * (2 * nc) ** 2
+    return basis_and_swaps + eq_rows + svd + engine
 
 
 def permute_systems(m: np.ndarray, dims, perm) -> np.ndarray:
@@ -221,20 +249,6 @@ def _flip(d: int) -> np.ndarray:
     return f
 
 
-def _sym_isometry(d: int) -> np.ndarray:
-    cols = []
-    for i in range(d):
-        v = np.zeros(d * d, dtype=complex)
-        v[i * d + i] = 1.0
-        cols.append(v)
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d * d, dtype=complex)
-            v[i * d + j] = v[j * d + i] = 1.0 / np.sqrt(2.0)
-            cols.append(v)
-    return np.column_stack(cols)
-
-
 def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
     """The matrices the two reduced states must equal under a convention."""
     if convention not in ("dpt", "gmpc"):
@@ -259,7 +273,8 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             **common,
             var_cdim=0,
             cone_maps=[],
-            eq_rows=[],
+            eq_rows=np.zeros((0, 0, 0), dtype=complex),
+            eq_rhs=np.zeros(0),
             lift_cost=None,
             extract_coupling=lambda _x: coupling,
             notes=["product coupling is fully determined by the marginals"],
@@ -294,7 +309,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         return lift @ y @ lift.conj().T
 
     if cset.kind in ("general", "ppt", "classical_quantum", "quantum_classical"):
-        rows = _marginal_rows(
+        rows, rhs = _marginal_rows(
             m1,
             m2,
             lambda e: np.kron(e, g2),
@@ -318,20 +333,23 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
                 )
             block = (lambda p: p // r2) if on_first else (lambda p: p % r2)
             dd = r1 * r2
-            for p in range(dd):
-                for q in range(p + 1, dd):
-                    if block(p) == block(q):
-                        continue
-                    e = np.zeros((dd, dd), dtype=complex)
-                    e[p, q] = 1.0
-                    rows.append((e + e.conj().T, 0.0))
-                    rows.append((1j * e - 1j * e.conj().T, 0.0))
+            p, q = np.triu_indices(dd, k=1)
+            cross = block(p) != block(q)
+            p, q = p[cross], q[cross]
+            # Re and Im of every entry coupling two blocks, interleaved.
+            off = np.zeros((2 * len(p), dd, dd), dtype=complex)
+            re, im = np.arange(0, len(off), 2), np.arange(1, len(off), 2)
+            off[re, p, q] = off[re, q, p] = 1.0
+            off[im, p, q], off[im, q, p] = 1j, -1j
+            rows = np.concatenate([rows, off])
+            rhs = np.concatenate([rhs, np.zeros(len(off))])
             notes.append(f"block structure in the recorded eigenbasis ({cset.kind})")
         return CouplingProblem(
             **common,
             var_cdim=r1 * r2,
             cone_maps=cones,
             eq_rows=rows,
+            eq_rhs=rhs,
             lift_cost=lift_cost_base,
             extract_coupling=lift_back,
             feasible_witness=np.kron(m1, m2),
@@ -339,9 +357,9 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         )
 
     if cset.kind == "symmetric_ppt":
-        vs = _sym_isometry(r1)
+        vs = symmetric_isometry(r1)
         ds = vs.shape[1]
-        rows = _marginal_rows(
+        rows, rhs = _marginal_rows(
             m1,
             m2,
             lambda e: vs.conj().T @ np.kron(e, g2) @ vs,
@@ -361,6 +379,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             var_cdim=ds,
             cone_maps=cones,
             eq_rows=rows,
+            eq_rhs=rhs,
             lift_cost=lambda c: vs.conj().T @ lift_cost_base(c) @ vs,
             extract_coupling=lambda z: lift_back(vs @ z @ vs.conj().T),
             notes=notes + ["variable compressed to the symmetric subspace"],
@@ -375,19 +394,26 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             raise InvalidDimension(
                 f"extension order {n} outside 2..{PPT_EXTENSION_CAP}"
             )
+        need = extension_memory_estimate(r1, r2, n)
+        if need > EXTENSION_MEMORY_BUDGET:
+            raise InvalidDimension(
+                f"{n}:1 extension of a {r1} x {r2} coupling needs about "
+                f"{need / 2**30:.1f} GiB, above the "
+                f"{EXTENSION_MEMORY_BUDGET / 2**30:.0f} GiB budget"
+            )
         v1, v2 = f1.isometry, f2.isometry
         mc1 = linalg.hermitize(v1.conj().T @ marg1 @ v1)
         mc2 = linalg.hermitize(v2.conj().T @ marg2 @ v2)
         iso = np.kron(v1, v2)
         rest = r1 ** (n - 1)
         nc = r1**n * r2
-        rows = [(np.eye(nc, dtype=complex), 1.0)]
-        for e in _herm_basis(r1):
-            rows.append(
-                (np.kron(e, np.eye(rest * r2)), linalg.frob_inner(e, mc1))
-            )
-        for e in _herm_basis(r2):
-            rows.append((np.kron(np.eye(r1**n), e), linalg.frob_inner(e, mc2)))
+        b1, b2 = _herm_basis(r1), _herm_basis(r2)
+        rows = [
+            np.eye(nc, dtype=complex)[None],
+            np.kron(b1, np.eye(rest * r2)),
+            np.kron(np.eye(r1**n), b2),
+        ]
+        rhs = [[1.0], linalg.frob_inner(b1, mc1), linalg.frob_inner(b2, mc2)]
         # Permutation symmetry of the A copies via adjacent transpositions.
         f = _flip(r1)
         basis = _herm_basis(nc)
@@ -395,8 +421,10 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             swap = np.kron(
                 np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2)
             )
-            for e in basis:
-                rows.append((swap @ e @ swap - e, 0.0))
+            rows.append(swap @ basis @ swap - basis)
+            rhs.append(np.zeros(len(basis)))
+        del basis
+        rows, rhs = np.concatenate(rows), np.concatenate(rhs)
         cones = [("state", lambda y: y)]
         for k in range(1, n + 1):
             dims_cut = (r1**k, r1 ** (n - k) * r2)
@@ -429,6 +457,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             var_cdim=nc,
             cone_maps=cones,
             eq_rows=rows,
+            eq_rhs=rhs,
             lift_cost=lift_ext,
             extract_coupling=extract,
             feasible_witness=witness,

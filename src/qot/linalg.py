@@ -3,8 +3,15 @@
 Hermitian eigendecomposition, Kronecker products, partial trace and
 transpose on bipartite systems, Hadamard products, and the realification
 of Hermitian matrices used to feed complex problems to the real SDP
-solver.  Everything here is a pure function of immutable inputs; matrices
-in scope never exceed 32x32 after realification.
+solver.  Everything here is a pure function of immutable inputs.
+
+``partial_transpose``, ``realify``, ``herm_to_vec``, ``vec_to_herm`` and
+``frob_inner`` also take a leading stack axis, (k, n, n) or (k, n^2), and
+act on every matrix of the stack at once; the coupling compiler hands
+them whole sets of constraint directions.  Realified blocks are 2 r1 r2
+wide for marginal ranks r1, r2 (8x8 for qubit couplings, 32x32 at
+d = 4) and 2 r1^n r2 wide for an n:1 extension: a 2:1 extension at
+d = 3 has three 54x54 blocks.
 """
 
 from __future__ import annotations
@@ -28,28 +35,39 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2D complex array, rejecting NaN/Inf entries."""
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2D complex array, rejecting NaN/Inf entries; with
+    ``stack`` a (..., n, m) stack of matrices is admitted too."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("non-finite entries are not admitted")
     return m
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Relative Frobenius defect ||a - a^dag|| / max(1, ||a||)."""
-    return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))
+def hermiticity_defect(a: np.ndarray):
+    """Relative Frobenius defect ||a - a^dag|| / max(1, ||a||), one value
+    per matrix of a stack."""
+    fro = (-2, -1)
+    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=fro)
+    return defect / np.maximum(1.0, np.linalg.norm(a, axis=fro))
 
 
-def check_hermitian(a, tol: float = TOL.hermiticity) -> np.ndarray:
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+def check_hermitian(
+    a, tol: float = TOL.hermiticity, stack: bool = False
+) -> np.ndarray:
+    """Complex copy of a Hermitian matrix (or, with ``stack``, of a stack
+    of them, each judged on its own)."""
+    m = as_complex_matrix(a, stack)
+    if m.shape[-2] != m.shape[-1]:
+        raise NotHermitian(f"matrix is {m.shape[-2]}x{m.shape[-1]}, not square")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if np.any(defect > tol):
+        where = "" if m.ndim == 2 else f" at stack index {np.argmax(defect)}"
+        raise NotHermitian(
+            f"Hermiticity defect {np.max(defect):.3e}{where} exceeds {tol:.1e}"
+        )
     return m
 
 
@@ -92,11 +110,11 @@ def kron(a, b) -> np.ndarray:
 
 def _split_bipartite(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     d1, d2 = dims
-    if m.shape != (d1 * d2, d1 * d2):
+    if m.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionMismatch(
             f"matrix of shape {m.shape} does not match dims {dims}"
         )
-    return m.reshape(d1, d2, d1, d2)
+    return m.reshape(m.shape[:-2] + (d1, d2, d1, d2))
 
 
 def partial_trace(m, subsystem: int, dims: tuple[int, int]) -> np.ndarray:
@@ -110,12 +128,14 @@ def partial_trace(m, subsystem: int, dims: tuple[int, int]) -> np.ndarray:
 
 
 def partial_transpose(m, subsystem: int, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose the given subsystem (1 or 2) of a bipartite matrix."""
-    t = _split_bipartite(as_complex_matrix(m), dims)
+    """Transpose the given subsystem (1 or 2) of a bipartite matrix, or of
+    every matrix of a stack."""
+    m = as_complex_matrix(m, stack=True)
+    t = _split_bipartite(m, dims)
     if subsystem == 1:
-        return t.transpose(2, 1, 0, 3).reshape(m.shape)
+        return np.swapaxes(t, -4, -2).reshape(m.shape)
     if subsystem == 2:
-        return t.transpose(0, 3, 2, 1).reshape(m.shape)
+        return np.swapaxes(t, -3, -1).reshape(m.shape)
     raise DimensionMismatch(f"subsystem must be 1 or 2, got {subsystem}")
 
 
@@ -127,18 +147,20 @@ def hadamard_product(a, b) -> np.ndarray:
     return ma * mb
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr(a b) for Hermitian a, b (real by construction)."""
-    return float(np.real(np.sum(a.conj() * b)))
+def frob_inner(a: np.ndarray, b: np.ndarray):
+    """Tr(a b) for Hermitian a, b (real by construction), one value per
+    matrix of a stack."""
+    return np.sum(a.conj() * b, axis=(-2, -1)).real
 
 
 def realify(h) -> np.ndarray:
-    """Embed a Hermitian matrix as [[Re, -Im], [Im, Re]].
+    """Embed a Hermitian matrix, or each of a (k, n, n) stack, as
+    [[Re, -Im], [Im, Re]].
 
     The image is real symmetric, PSD iff the input is PSD, and carries
     every eigenvalue of the input twice.
     """
-    m = check_hermitian(h)
+    m = check_hermitian(h, stack=True)
     re, im = m.real, m.imag
     return np.block([[re, -im], [im, re]])
 
@@ -155,27 +177,36 @@ def derealify(r: np.ndarray) -> np.ndarray:
 
 
 def herm_to_vec(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis.
+    """Real coordinates of a Hermitian matrix in an orthonormal basis; a
+    (k, n, n) stack gives (k, n^2) rows.
 
     Coordinates are (diagonal, sqrt(2) Re upper, sqrt(2) Im upper), so the
     Euclidean inner product of coordinate vectors equals Tr(a b).
     """
-    n = h.shape[0]
-    iu = np.triu_indices(n, k=1)
+    n = h.shape[-1]
+    i, j = np.triu_indices(n, k=1)
+    upper = h[..., i, j]
     return np.concatenate(
-        [h.diagonal().real, np.sqrt(2.0) * h[iu].real, np.sqrt(2.0) * h[iu].imag]
+        [
+            np.diagonal(h, axis1=-2, axis2=-1).real,
+            np.sqrt(2.0) * upper.real,
+            np.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
     )
 
 
 def vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of herm_to_vec for an n x n Hermitian matrix."""
-    if v.shape != (n * n,):
+    """Inverse of herm_to_vec for n x n Hermitian matrices; (k, n^2) rows
+    give a (k, n, n) stack."""
+    if v.shape[-1:] != (n * n,):
         raise DimensionMismatch(f"expected {n * n} coordinates, got {v.shape}")
     k = n * (n - 1) // 2
-    h = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    np.fill_diagonal(h, v[:n])
-    upper = (v[n : n + k] + 1j * v[n + k :]) / np.sqrt(2.0)
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
+    h = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    d = np.arange(n)
+    i, j = np.triu_indices(n, k=1)
+    h[..., d, d] = v[..., :n]
+    upper = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
+    h[..., i, j] = upper
+    h[..., j, i] = upper.conj()
     return h

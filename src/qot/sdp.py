@@ -3,9 +3,14 @@
 Solves  min/max <C, X>  s.t.  <A_i, X> = b_i,  X >= 0  over real symmetric
 matrices, with a certified duality gap.  The algorithm is an
 infeasible-start primal-dual interior-point method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step; problem sizes here
-(realified 8x8 to 32x32, tens of constraints) make factorization cost
-irrelevant, so the implementation favours robustness throughout.
+scaling and a Mehrotra predictor-corrector step.
+
+Problem sizes span two orders of magnitude.  A qubit coupling has one or
+two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
+thousands of these, so the fixed NumPy cost per call dominates there.  At
+the other end a 2:1 extension at d = 3 has three 54x54 blocks and 388
+constraints.  Constraint data therefore travels as one (m, n_b, n_b)
+stack per block.
 
 The PSD variable may be block diagonal; ``solve`` handles the single-block
 standard form and ``solve_blocks`` exposes the block engine used by the
@@ -153,8 +158,9 @@ def solve_blocks(
     """Block-diagonal standard-form engine.
 
     ``cost_blocks`` is a list of symmetric matrices; ``constraint_blocks``
-    is a list (one entry per constraint) of per-block symmetric matrices;
-    ``b`` the right-hand sides.  Maximization is handled by cost negation.
+    holds one (m, n_b, n_b) stack per block, entry p of every stack being
+    the block of constraint p; ``b`` the m right-hand sides.  Maximization
+    is handled by cost negation.
 
     ``dual_start`` is an optional multiplier vector (in the original
     constraint indexing) whose slack C - A*(y) is strictly positive
@@ -168,15 +174,13 @@ def solve_blocks(
     sizes = [c.shape[0] for c in c_blocks]
     n_total = sum(sizes)
     b = np.asarray(b, dtype=float)
-    m_raw = len(constraint_blocks)
+    m_raw = len(b)
 
-    # Stack constraints per block, then re-span the rows orthonormally.
-    a_stk_raw = [
-        np.stack([_sym(np.asarray(ab[ib], dtype=float)) for ab in constraint_blocks])
-        for ib in range(len(sizes))
-    ]
+    # Symmetrise the stacks and re-span their rows orthonormally.
+    a_stk_raw = [np.asarray(blk, dtype=float) for blk in constraint_blocks]
     a_flat_raw = np.concatenate(
-        [a_stk_raw[ib].reshape(m_raw, -1) for ib in range(len(sizes))], axis=1
+        [((a + a.transpose(0, 2, 1)) / 2).reshape(m_raw, -1) for a in a_stk_raw],
+        axis=1,
     )
     rows, b_red, consistent = _reduce_constraints(a_flat_raw, b)
     if not consistent:
@@ -201,17 +205,17 @@ def solve_blocks(
         a_flat.append(blk.reshape(m, -1))
         offset += n * n
 
-    # Interior start: scale X by the trace constraint when one is present.
+    # Interior start: scale X by the first trace constraint, one that is
+    # alpha * I on every block, when there is one.
     xi = 1.0
-    for ab, bv in zip(constraint_blocks, np.atleast_1d(b)):
-        mats = [np.asarray(ab[ib], dtype=float) for ib in range(len(sizes))]
-        alphas = [mm[0, 0] for mm in mats]
-        if all(
-            np.allclose(mm, alphas[0] * np.eye(nn), atol=1e-12)
-            for mm, nn in zip(mats, sizes)
-        ) and abs(alphas[0]) > 1e-12:
-            xi = max(bv / (alphas[0] * n_total), 1e-6)
-            break
+    alphas = a_stk_raw[0][:, 0, 0]
+    is_trace = np.abs(alphas) > 1e-12
+    for blk, n in zip(a_stk_raw, sizes):
+        scaled_eye = alphas[:, None, None] * np.eye(n)
+        is_trace &= np.isclose(blk, scaled_eye, atol=1e-12).all(axis=(1, 2))
+    if is_trace.any():
+        p = int(np.argmax(is_trace))
+        xi = max(b[p] / (alphas[p] * n_total), 1e-6)
     x = [xi * np.eye(n) for n in sizes]
     s = [np.eye(n) for n in sizes]
     y = np.zeros(m)
@@ -431,7 +435,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     """Solve a single-block standard-form SDP; see module docstring."""
     res = solve_blocks(
         [problem.cost],
-        [[a] for a, _ in problem.constraints],
+        [np.stack([np.asarray(a, dtype=float) for a, _ in problem.constraints])],
         np.array([bv for _, bv in problem.constraints], dtype=float),
         sense=problem.sense,
         options=options,

@@ -99,8 +99,8 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     """Minimize <c_var, X> over the coupling problem via the null-space
     dual embedding; returns (X_var, engine result)."""
     n = problem.var_cdim
-    rows = np.stack([linalg.herm_to_vec(a) for a, _ in problem.eq_rows])
-    bvec = np.array([b for _, b in problem.eq_rows], dtype=float)
+    rows = linalg.herm_to_vec(problem.eq_rows)
+    bvec = np.asarray(problem.eq_rhs, dtype=float)
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.sum(s > 1e-12 * s[0]))
     x0_vec = vt[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
@@ -110,14 +110,13 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     x0 = linalg.vec_to_herm(x0_vec, n)
     if null.shape[0] == 0:
         return x0, None
-    directions = [linalg.vec_to_herm(null[p], n) for p in range(null.shape[0])]
+    directions = linalg.vec_to_herm(null, n)
     c_vec = linalg.herm_to_vec(c_var)
     b_hat = -(null @ c_vec)
     cost_blocks = [linalg.realify(apply(x0)) for _, apply in problem.cone_maps]
-    cons = [
-        [linalg.realify(-apply(npb)) for _, apply in problem.cone_maps]
-        for npb in directions
-    ]
+    # One realified (k, n_b, n_b) stack per cone.
+    cons = [linalg.realify(-apply(directions)) for _, apply in problem.cone_maps]
+    del directions
     # An interior witness gives a dual-feasible start: the slack at
     # y = (witness coordinates) is the witness itself, mapped through the
     # cones, which is strictly PD.

@@ -11,7 +11,8 @@ from qot.errors import DegenerateEigenbasis, InvalidDimension, MarginalMismatch
 
 def eq_residual(problem, x):
     return max(
-        abs(linalg.frob_inner(a, x) - b) for a, b in problem.eq_rows
+        abs(linalg.frob_inner(a, x) - b)
+        for a, b in zip(problem.eq_rows, problem.eq_rhs)
     )
 
 
@@ -87,6 +88,26 @@ class TestBuild:
             cp.build(rho, rho, cp.ppt_extension(4), "gmpc")
         with pytest.raises(InvalidDimension):
             cp.build(rho, rho, cp.ppt_extension(1), "gmpc")
+
+    def test_extension_size_guard_refuses_before_building(self, monkeypatch):
+        # d = 3, n = 3 needs about 16 GiB; the refusal comes from the
+        # estimate alone, before any constraint data exists
+        def fail(_d):
+            raise AssertionError("constraint data built for a refused input")
+
+        monkeypatch.setattr(cp, "_herm_basis", fail)
+        rho = qs.random_density(3, np.random.default_rng(68))
+        with pytest.raises(InvalidDimension, match="budget"):
+            cp.build(rho, rho, cp.ppt_extension(3), "gmpc")
+
+    def test_extension_size_guard_admits_benchmark_inputs(self):
+        rng = np.random.default_rng(69)
+        for d, n in ((3, 2), (2, 3)):
+            need = cp.extension_memory_estimate(d, d, n)
+            assert need <= cp.EXTENSION_MEMORY_BUDGET
+            rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng)
+            problem = cp.build(rho, sigma, cp.ppt_extension(n), "dpt")
+            assert problem.var_cdim == d**n * d
 
     def test_degenerate_eigenbasis_warning(self):
         mixed = qs.validate_density(np.eye(2) / 2)

@@ -189,6 +189,48 @@ class TestHermVec:
         assert np.isclose(va @ vb, linalg.frob_inner(a, b))
 
 
+class TestStacks:
+    """Stacked calls equal the per-matrix calls bit for bit."""
+
+    def stack(self, seed, k=5, n=6):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_hermitian(n, rng) for _ in range(k)])
+
+    def assert_bitwise(self, got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_herm_vec(self):
+        hs = self.stack(24)
+        vecs = linalg.herm_to_vec(hs)
+        self.assert_bitwise(vecs, np.stack([linalg.herm_to_vec(h) for h in hs]))
+        self.assert_bitwise(
+            linalg.vec_to_herm(vecs, 6),
+            np.stack([linalg.vec_to_herm(v, 6) for v in vecs]),
+        )
+
+    def test_realify(self):
+        hs = self.stack(25)
+        self.assert_bitwise(
+            linalg.realify(hs), np.stack([linalg.realify(h) for h in hs])
+        )
+
+    def test_partial_transpose(self):
+        hs = self.stack(26)
+        for sub in (1, 2):
+            self.assert_bitwise(
+                linalg.partial_transpose(hs, sub, (2, 3)),
+                np.stack([linalg.partial_transpose(h, sub, (2, 3)) for h in hs]),
+            )
+
+    def test_realify_judges_each_matrix(self):
+        hs = self.stack(27)
+        hs[3, 0, 1] += 1e-6  # one matrix of the stack is not Hermitian
+        with pytest.raises(NotHermitian, match="stack index 3"):
+            linalg.realify(hs)
+        linalg.realify(np.delete(hs, 3, axis=0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), d1=st.integers(2, 3), d2=st.integers(2, 3))
 def test_partial_trace_preserves_trace(seed, d1, d2):

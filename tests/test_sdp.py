@@ -185,9 +185,8 @@ class TestRealifiedStructure:
         res = solve_blocks(
             [np.diag([1.0, 2.0]), np.diag([3.0, 1.0])],
             [
-                [np.eye(2), z],
-                [z, np.eye(2)],
-                [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])],
+                np.stack([np.eye(2), z, np.diag([1.0, 0.0])]),
+                np.stack([z, np.eye(2), np.diag([0.0, -1.0])]),
             ],
             np.array([1.0, 1.0, 0.0]),
             options=TIGHT,
