@@ -10,7 +10,10 @@ two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
 thousands of these, so the fixed NumPy cost per call dominates there.  At
 the other end a 2:1 extension at d = 3 has three 54x54 blocks and 388
 constraints.  Constraint data therefore travels as one (m, n_b, n_b)
-stack per block.
+stack per block, and each iteration factors the m x m Schur matrix once:
+its Cholesky factor is inverted, and the predictor, the corrector (or
+the centring recovery step) and both refinement passes of each Schur
+solve apply that inverse by matrix products.
 
 The PSD variable may be block diagonal; ``solve`` handles the single-block
 standard form and ``solve_blocks`` exposes the block engine used by the
@@ -307,15 +310,17 @@ def solve_blocks(
         except np.linalg.LinAlgError:
             m_mat += np.eye(m) * max(np.trace(m_mat) / m, 1.0) * 1e-13
             chol = np.linalg.cholesky(_sym(m_mat))
+        # One factorisation per iteration, shared by every Schur solve:
+        # M^-1 = U U^T with U = (L^T)^-1.  LU of the upper factor L^T needs
+        # no row exchange, so each column of U is a triangular solve.
+        u_inv = np.linalg.inv(chol.T)
 
         def schur_solve(rhs):
             # two steps of iterative refinement; the Schur matrix is badly
             # conditioned near the end of the path
-            dy = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            dy = u_inv @ (u_inv.T @ rhs)
             for _ in range(2):
-                dy += np.linalg.solve(
-                    chol.T, np.linalg.solve(chol, rhs - m_mat @ dy)
-                )
+                dy += u_inv @ (u_inv.T @ (rhs - m_mat @ dy))
             return dy
 
         def newton(rc):
