@@ -18,11 +18,10 @@ def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=64)
     parser.add_argument("--out", default="fig2_sweep.csv")
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
 
     try:
-        phis, results, phi0 = cli.fig2_sweep(args.points, args.jobs)
+        phis, results, phi0 = cli.fig2_sweep(args.points)
     except QotError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -177,7 +176,7 @@ class SweepFailure(Exception):
     """A solve of the fig2 sweep ended uncertified (exit code 2)."""
 
 
-def fig2_sweep(points: int, jobs: int = 1):
+def fig2_sweep(points: int):
     """General-vs-PPT values on a grid over [0, pi/2], then bisection of
     the first grid cell where the curves meet.
 
@@ -189,8 +188,7 @@ def fig2_sweep(points: int, jobs: int = 1):
     if points < 8:
         raise InvalidDimension(f"--points must be at least 8, got {points}")
     phis = np.linspace(0.0, np.pi / 2, points)
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(_sweep_point, phis))
+    results = [_sweep_point(phi) for phi in phis]
     if not all(ok for _, _, ok in results):
         raise SweepFailure("solver failed on at least one sweep point")
     gaps = [p - g for g, p, _ in results]
@@ -216,7 +214,7 @@ def write_fig2_csv(path, phis, results, phi0) -> None:
 
 def cmd_fig2(args) -> int:
     try:
-        phis, results, phi0 = fig2_sweep(args.points, args.jobs)
+        phis, results, phi0 = fig2_sweep(args.points)
     except SweepFailure as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
@@ -280,7 +278,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fig2", help="general vs PPT sweep of the qubit example")
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("table1", help="self-distance table across coupling sets")

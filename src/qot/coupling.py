@@ -146,10 +146,6 @@ class CouplingProblem:
     feasible_witness: np.ndarray | None = None
     notes: list = field(default_factory=list)
 
-    @property
-    def local_dim(self) -> int:
-        return self.rho.dim
-
 
 def _herm_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis matching linalg.herm_to_vec coordinates,

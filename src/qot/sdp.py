@@ -1,9 +1,11 @@
 """Self-contained standard-form semidefinite solver.
 
-Solves  min/max <C, X>  s.t.  <A_i, X> = b_i,  X >= 0  over real symmetric
-matrices, with a certified duality gap.  The algorithm is an
-infeasible-start primal-dual interior-point method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step.
+Solves  min <C, X>  s.t.  <A_i, X> = b_i,  X >= 0  over real symmetric
+block-diagonal matrices, with a certified duality gap.  The algorithm is
+an infeasible-start primal-dual interior-point method with Nesterov-Todd
+scaling and a Mehrotra predictor-corrector step.  ``solve_blocks`` is the
+one entry point; a caller that maximises negates the cost (and the
+returned values).
 
 Problem sizes span two orders of magnitude.  A qubit coupling has one or
 two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
@@ -15,17 +17,19 @@ its Cholesky factor is inverted, and the predictor, the corrector (or
 the centring recovery step) and both refinement passes of each Schur
 solve apply that inverse by matrix products.
 
-The PSD variable may be block diagonal; ``solve`` handles the single-block
-standard form and ``solve_blocks`` exposes the block engine used by the
-coupling optimizations.  Complex Hermitian data enters exclusively through
-``linalg.realify``; the doubling symmetry of realified problems is
-preserved automatically by the iteration (cost, constraints and the
-identity start all commute with the symplectic involution) and is never
-enforced through extra constraints.
+Complex Hermitian data enters exclusively through ``linalg.realify`` and
+is never tied to its doubling symmetry by extra constraints.  Cost,
+constraints and the identity start all commute with the symplectic
+involution, so in exact arithmetic the iterates do too.  In floating
+point they need not: inside a degenerate optimal face the iterate can
+drift away from the symmetric subspace (by about 1e-4 on a 3x3 complex
+problem started at X = I).  ``linalg.derealify`` averages the two copies,
+so couplings read back through it carry no such drift.
 
 Constraints are preprocessed with an SVD: redundant or dependent rows are
 re-spanned by an orthonormal independent set, and an inconsistent system
-is reported as Infeasible outright.
+is reported as Infeasible outright.  The duality gap is certified as an
+absolute width, ``gap_tol``, whatever the scale of the objective.
 
 At a degenerate optimum (strict complementarity lost, as where two
 coupling sets give the same value) the Mehrotra step can collapse: both
@@ -50,50 +54,12 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class SdpProblem:
-    """Standard-form problem data: one symmetric cost matrix plus
-    symmetric equality-constraint pairs (A_i, b_i)."""
-
-    cost: np.ndarray
-    constraints: list
-    sense: str = "minimize"
-
-    def __post_init__(self):
-        c = np.asarray(self.cost, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("cost must be a square matrix")
-        if not self.constraints:
-            raise ValueError("constraint list must be non-empty")
-        for a, b in self.constraints:
-            a = np.asarray(a, dtype=float)
-            if a.shape != c.shape:
-                raise ValueError("constraint matrix shape differs from cost")
-            if not np.isfinite(b):
-                raise ValueError("constraint value must be finite")
-        if self.sense not in ("minimize", "maximize"):
-            raise ValueError(f"unknown sense {self.sense!r}")
-
-
-@dataclass(frozen=True)
 class SolveOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
+    gap_tol: float = 8e-9  # absolute width of the certified duality gap
+    feas_tol: float = 1e-9
     max_iters: int = 200
     step_fraction: float = 0.98
     collect_history: bool = False
-    absolute_gap: bool = False  # certify gap_tol as an absolute width
-
-
-@dataclass
-class SdpSolution:
-    primal_matrix: np.ndarray
-    primal_value: float
-    dual_value: float
-    gap: float
-    status: str  # Optimal | Stalled | MaxIterations | Infeasible
-    iterations: int = 0
-    dual_slack: np.ndarray | None = None
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -154,7 +120,6 @@ def solve_blocks(
     cost_blocks,
     constraint_blocks,
     b,
-    sense: str = "minimize",
     options: SolveOptions | None = None,
     dual_start=None,
 ) -> BlockSolution:
@@ -162,8 +127,7 @@ def solve_blocks(
 
     ``cost_blocks`` is a list of symmetric matrices; ``constraint_blocks``
     holds one (m, n_b, n_b) stack per block, entry p of every stack being
-    the block of constraint p; ``b`` the m right-hand sides.  Maximization
-    is handled by cost negation.
+    the block of constraint p; ``b`` the m right-hand sides.
 
     ``dual_start`` is an optional multiplier vector (in the original
     constraint indexing) whose slack C - A*(y) is strictly positive
@@ -172,8 +136,7 @@ def solve_blocks(
     unusable start falls back to the cold one.
     """
     opts = options or SolveOptions()
-    sign = -1.0 if sense == "maximize" else 1.0
-    c_blocks = [sign * _sym(np.asarray(c, dtype=float)) for c in cost_blocks]
+    c_blocks = [_sym(np.asarray(c, dtype=float)) for c in cost_blocks]
     sizes = [c.shape[0] for c in c_blocks]
     n_total = sum(sizes)
     b = np.asarray(b, dtype=float)
@@ -209,7 +172,8 @@ def solve_blocks(
         offset += n * n
 
     # Interior start: scale X by the first trace constraint, one that is
-    # alpha * I on every block, when there is one.
+    # alpha * I on every block, when there is one.  Coupling solves have
+    # none (their directions are traceless) and start at X = I.
     xi = 1.0
     alphas = a_stk_raw[0][:, 0, 0]
     is_trace = np.abs(alphas) > 1e-12
@@ -222,7 +186,7 @@ def solve_blocks(
     x = [xi * np.eye(n) for n in sizes]
     s = [np.eye(n) for n in sizes]
     y = np.zeros(m)
-    if dual_start is not None and sense == "minimize":
+    if dual_start is not None:
         # re-express the start in the re-spanned constraint coordinates
         y0 = rows @ (a_flat_raw.T @ np.asarray(dual_start, dtype=float))
         s0 = [
@@ -270,16 +234,15 @@ def solve_blocks(
             + abs(float(y @ rp))
             + abs(sum(np.sum(rd[ib] * x[ib]) for ib in range(len(sizes))))
         )
-        scale = 1.0 if opts.absolute_gap else max(1.0, abs(pobj), abs(dobj))
         if opts.collect_history:
             history.append(
-                {"primal": sign * pobj, "dual": sign * dobj, "pinf": pinf,
+                {"primal": pobj, "dual": dobj, "pinf": pinf,
                  "dinf": dinf, "gap_cert": gap_cert}
             )
         if (
             pinf <= opts.feas_tol
             and dinf <= opts.feas_tol
-            and gap_cert <= opts.gap_tol * scale
+            and gap_cert <= opts.gap_tol
         ):
             status = "Optimal"
             break
@@ -427,31 +390,11 @@ def solve_blocks(
         x_blocks=x,
         s_blocks=s,
         y=y,
-        primal_value=sign * pobj,
-        dual_value=sign * dobj,
+        primal_value=pobj,
+        dual_value=dobj,
         gap=gap,
         status=status,
         iterations=it,
         history=history,
     )
 
-
-def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
-    """Solve a single-block standard-form SDP; see module docstring."""
-    res = solve_blocks(
-        [problem.cost],
-        [np.stack([np.asarray(a, dtype=float) for a, _ in problem.constraints])],
-        np.array([bv for _, bv in problem.constraints], dtype=float),
-        sense=problem.sense,
-        options=options,
-    )
-    return SdpSolution(
-        primal_matrix=res.x_blocks[0],
-        primal_value=res.primal_value,
-        dual_value=res.dual_value,
-        gap=res.gap,
-        status=res.status,
-        iterations=res.iterations,
-        dual_slack=res.s_blocks[0],
-        history=res.history,
-    )

@@ -29,9 +29,7 @@ from . import linalg, metrology, sdp
 from .errors import DimensionMismatch, InvalidDimension, MarginalMismatch
 from .qstates import DensityMatrix, HermitianOperator, as_density, as_operator
 
-DEFAULT_OPTIONS = sdp.SolveOptions(
-    gap_tol=8e-9, feas_tol=1e-9, max_iters=200, absolute_gap=True
-)
+DEFAULT_OPTIONS = sdp.SolveOptions()
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,7 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
         dual_start = null @ (
             linalg.herm_to_vec(problem.feasible_witness) - x0_vec
         )
-    res = sdp.solve_blocks(
-        cost_blocks, cons, b_hat, "minimize", options, dual_start=dual_start
-    )
+    res = sdp.solve_blocks(cost_blocks, cons, b_hat, options, dual_start=dual_start)
     # The original optimizer is the slack of the reduced problem; project
     # it back onto the constraint subspace to null out dual residual.
     x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0]))

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +150,7 @@ class TestDistance:
 class TestFig2:
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        rc = main(["fig2", "--points", "9", "--out", str(out), "--jobs", "2"])
+        rc = main(["fig2", "--points", "9", "--out", str(out)])
         assert rc == 0
         raw = out.read_bytes().decode()
         assert "\r" not in raw
@@ -190,6 +192,24 @@ class TestFig2:
     def test_too_few_points_rejected(self, tmp_path):
         rc = main(["fig2", "--points", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_jobs_flag_rejected(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(["fig2", "--points", "8", "--out", str(out), "--jobs", "2"])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_script_matches_cli(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_fig2_sweep.py"
+        spec = importlib.util.spec_from_file_location("run_fig2_sweep", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        via_script = tmp_path / "script.csv"
+        via_cli = tmp_path / "cli.csv"
+        assert script.run(["--points", "8", "--out", str(via_script)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert main(["fig2", "--points", "8", "--out", str(via_cli)]) == 0
+        assert via_script.read_bytes() == via_cli.read_bytes()
 
 
 class TestTable1:

@@ -1,28 +1,37 @@
 import numpy as np
-import pytest
 
 from qot import linalg
-from qot.sdp import SdpProblem, SolveOptions, solve, solve_blocks
+from qot.sdp import SolveOptions, solve_blocks
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 TIGHT = SolveOptions(gap_tol=1e-9, feas_tol=1e-9)
 
 
-def feasibility_residual(problem, x):
-    return max(abs(np.sum(a * x) - b) for a, b in problem.constraints)
+def solve(cost, constraints, options=None):
+    """One PSD block with constraint pairs (A_i, b_i), minimised."""
+    return solve_blocks(
+        [cost],
+        [np.stack([np.asarray(a, dtype=float) for a, _ in constraints])],
+        np.array([bv for _, bv in constraints], dtype=float),
+        options,
+    )
+
+
+def feasibility_residual(constraints, x):
+    return max(abs(np.sum(a * x) - b) for a, b in constraints)
 
 
 class TestSpecExamples:
     def test_fully_constrained_scalar(self):
-        s = solve(SdpProblem(np.array([[1.0]]), [(np.array([[1.0]]), 3.0)]))
+        s = solve(np.array([[1.0]]), [(np.array([[1.0]]), 3.0)])
         assert s.status == "Optimal"
         assert abs(s.primal_value - 3.0) < 1e-7
 
     def test_smallest_eigenvalue_selection(self):
-        s = solve(SdpProblem(np.diag([1.0, 2.0]), [(np.eye(2), 1.0)]))
+        s = solve(np.diag([1.0, 2.0]), [(np.eye(2), 1.0)])
         assert s.status == "Optimal"
         assert abs(s.primal_value - 1.0) < 1e-7
-        assert np.allclose(s.primal_matrix, np.diag([1.0, 0.0]), atol=1e-6)
+        assert np.allclose(s.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
 
     def test_realified_pauli_trace_budget(self):
         # oracle: min Tr(sigma_x M) over PSD trace-2 complex M equals -2 by
@@ -30,7 +39,7 @@ class TestSpecExamples:
         grid = np.linspace(-1.0, 1.0, 41)
         best = min(2.0 * x for x in grid)  # Tr(sx (I + x sx + ...)) = 2x
         assert best == -2.0
-        s = solve(SdpProblem(linalg.realify(SX), [(np.eye(4), 2.0)]))
+        s = solve(linalg.realify(SX), [(np.eye(4), 2.0)])
         assert s.status == "Optimal"
         assert abs(s.primal_value - (-2.0)) < 1e-7
 
@@ -38,7 +47,7 @@ class TestSpecExamples:
 class TestInvariants:
     def test_weak_duality_at_feasible_iterates(self):
         opts = SolveOptions(collect_history=True)
-        s = solve(SdpProblem(np.diag([1.0, 2.0, -1.0]), [(np.eye(3), 1.0)]), opts)
+        s = solve(np.diag([1.0, 2.0, -1.0]), [(np.eye(3), 1.0)], opts)
         assert s.status == "Optimal"
         for rec in s.history:
             if rec["pinf"] <= 1e-8 and rec["dinf"] <= 1e-8:
@@ -48,24 +57,23 @@ class TestInvariants:
         rng = np.random.default_rng(21)
         c = rng.standard_normal((3, 3))
         c = (c + c.T) / 2
-        problem = SdpProblem(c, [(np.eye(3), 1.0)])
-        v1 = solve(problem, TIGHT).primal_value
-        v2 = solve(SdpProblem(3.5 * c, problem.constraints), TIGHT).primal_value
+        cons = [(np.eye(3), 1.0)]
+        v1 = solve(c, cons, TIGHT).primal_value
+        v2 = solve(3.5 * c, cons, TIGHT).primal_value
         assert abs(v2 - 3.5 * v1) < 1e-7
 
     def test_redundant_constraint(self):
         base = [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 0.2)]
-        v1 = solve(SdpProblem(np.diag([1.0, 2.0]), base), TIGHT).primal_value
-        v2 = solve(
-            SdpProblem(np.diag([1.0, 2.0]), base + [base[0]]), TIGHT
-        ).primal_value
+        v1 = solve(np.diag([1.0, 2.0]), base, TIGHT).primal_value
+        v2 = solve(np.diag([1.0, 2.0]), base + [base[0]], TIGHT).primal_value
         assert abs(v1 - v2) <= 1e-7
 
     def test_maximize_by_negation(self):
-        s = solve(SdpProblem(np.diag([1.0, 2.0]), [(np.eye(2), 1.0)], "maximize"))
+        s = solve(-np.diag([1.0, 2.0]), [(np.eye(2), 1.0)])
+        primal_value, dual_value = -s.primal_value, -s.dual_value
         assert s.status == "Optimal"
-        assert abs(s.primal_value - 2.0) < 1e-7
-        assert s.dual_value <= s.primal_value + 1e-7  # flipped back consistently
+        assert abs(primal_value - 2.0) < 1e-7
+        assert dual_value <= primal_value + 1e-7  # flipped back consistently
 
     def test_constructed_optimum_recovered(self):
         # build a complementary primal-dual pair, so the optimal value is
@@ -86,7 +94,7 @@ class TestInvariants:
             c = s_star + sum(yv * a for yv, a in zip(y_star, mats))
             cons = [(a, float(np.sum(a * x_star))) for a in mats]
             want = float(np.sum(c * x_star))
-            s = solve(SdpProblem(c, cons), TIGHT)
+            s = solve(c, cons, TIGHT)
             assert s.status == "Optimal"
             assert abs(s.primal_value - want) < 1e-6
 
@@ -103,12 +111,11 @@ class TestInvariants:
                 a = rng.standard_normal((n, n))
                 a = (a + a.T) / 2
                 cons.append((a, float(np.sum(a * x_feas))))
-            problem = SdpProblem(c, cons)
-            s = solve(problem, TIGHT)
+            s = solve(c, cons, TIGHT)
             assert s.status == "Optimal"
             assert s.gap <= 1e-7
-            assert feasibility_residual(problem, s.primal_matrix) <= 1e-7
-            assert np.linalg.eigvalsh(s.primal_matrix)[0] >= -1e-8
+            assert feasibility_residual(cons, s.x_blocks[0]) <= 1e-7
+            assert np.linalg.eigvalsh(s.x_blocks[0])[0] >= -1e-8
             assert s.dual_value <= s.primal_value + 1e-8
 
 
@@ -117,18 +124,18 @@ class TestDegenerateAndInfeasible:
         # X is forced to diag(1, 0) and the dual optimum is unattained;
         # the default tolerances are still certified
         cons = [(np.diag([1.0, 0.0]), 1.0), (np.diag([0.0, 1.0]), 0.0)]
-        s = solve(SdpProblem(SX, cons))
+        s = solve(SX, cons)
         assert s.status == "Optimal"
         assert abs(s.primal_value) < 1e-7
 
     def test_linear_inconsistency(self):
-        s = solve(SdpProblem(np.eye(2), [(np.eye(2), 1.0), (np.eye(2), 2.0)]))
+        s = solve(np.eye(2), [(np.eye(2), 1.0), (np.eye(2), 2.0)])
         assert s.status == "Infeasible"
 
     def test_conic_infeasibility(self):
         # trace one but a diagonal entry beyond it
         cons = [(np.eye(2), 1.0), (np.diag([1.0, 0.0]), 2.0)]
-        s = solve(SdpProblem(np.eye(2), cons), SolveOptions(max_iters=80))
+        s = solve(np.eye(2), cons, SolveOptions(max_iters=80))
         assert s.status in ("Infeasible", "MaxIterations")
 
     def test_collapsed_steps_report_stalled(self):
@@ -136,19 +143,10 @@ class TestDegenerateAndInfeasible:
         # step below the collapse threshold: the engine stops at once and
         # says so, rather than claiming the iteration cap
         s = solve(
-            SdpProblem(np.diag([1.0, 2.0]), [(np.eye(2), 1.0)]),
-            SolveOptions(step_fraction=1e-9),
+            np.diag([1.0, 2.0]), [(np.eye(2), 1.0)], SolveOptions(step_fraction=1e-9)
         )
         assert s.status == "Stalled"
         assert s.iterations == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), [])
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), [(np.eye(3), 1.0)])
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), [(np.eye(2), np.inf)])
 
 
 class TestRealifiedStructure:
@@ -169,13 +167,13 @@ class TestRealifiedStructure:
             (linalg.realify(np.eye(3)), 2.0),
             (linalg.realify(g), 2.0 * linalg.frob_inner(g, rho0)),
         ]
-        s = solve(SdpProblem(linalg.realify(h), cons), TIGHT)
+        s = solve(linalg.realify(h), cons, TIGHT)
         assert s.status == "Optimal"
         n = 3
         j = np.block(
             [[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]]
         )
-        x = s.primal_matrix
+        x = s.x_blocks[0]
         assert np.linalg.norm(j @ x - x @ j) < 1e-6
         assert np.linalg.norm(linalg.realify(linalg.derealify(x)) - x) < 1e-6
 

@@ -7,6 +7,7 @@ from qot import cli
 from qot import coupling as cp
 from qot import metrology as mt
 from qot import qstates as qs
+from qot import sdp
 from qot import wasserstein as ws
 from qot.linalg import partial_trace
 
@@ -395,3 +396,45 @@ class TestFig2CoincidencePoint:
         assert abs(res.value - damped.value) <= 1e-8
         ppt = ws.distance_squared(rho, sigma, spec, cp.PPT)
         assert res.value <= ppt.value
+
+
+class TestEngineInput:
+    # The engine is handed null-space directions that are orthonormal and
+    # traceless (the trace is fixed by the marginals), mapped isometrically
+    # into each cone and realified.  The engine relies on this: its start
+    # scan for a trace constraint never fires, and re-spanning the rows is
+    # a rotation.
+    SETS = [
+        cp.GENERAL,
+        cp.PPT,
+        cp.CLASSICAL_QUANTUM,
+        cp.QUANTUM_CLASSICAL,
+        cp.SYMMETRIC_PPT,
+        cp.ppt_extension(2),
+        cp.ppt_extension(3),
+    ]
+
+    @pytest.mark.parametrize("cset", SETS, ids=lambda c: c.label())
+    def test_constraints_traceless_and_orthonormal(self, cset, monkeypatch):
+        calls = []
+        engine = sdp.solve_blocks
+
+        def spy(cost_blocks, constraint_blocks, b, *args, **kwargs):
+            calls.append(constraint_blocks)
+            return engine(cost_blocks, constraint_blocks, b, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_blocks", spy)
+        rng = np.random.default_rng(66)
+        rho = qs.random_density(2, rng)
+        sigma = rho if cset.kind == "symmetric_ppt" else qs.random_density(2, rng)
+        spec = ws.CostSpec((qs.random_hermitian(2, rng),), "gmpc")
+        ws.distance_squared(rho, sigma, spec, cset)
+        ws.wasserstein_variance(rho, sigma, spec, cset)
+        assert len(calls) == 2
+        for stacks in calls:
+            for stk in stacks:
+                assert np.max(np.abs(np.trace(stk, axis1=1, axis2=2))) <= 1e-12
+            rows = np.concatenate([stk.reshape(len(stk), -1) for stk in stacks], 1)
+            gram = rows @ rows.T
+            want = 2.0 * len(stacks) * np.eye(len(rows))
+            assert np.max(np.abs(gram - want)) <= 1e-12
