@@ -95,8 +95,9 @@ def coupling_set(name: str) -> CouplingSet:
     key = name.strip().lower()
     if key in _SET_BY_NAME:
         return _SET_BY_NAME[key]
-    if key.startswith("ppt_extension_"):
-        return ppt_extension(int(key.rsplit("_", 1)[1]))
+    order = key.removeprefix("ppt_extension_")
+    if order != key and order.isdecimal():
+        return ppt_extension(int(order))
     raise InvalidDimension(f"unknown coupling set {name!r}")
 
 

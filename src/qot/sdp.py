@@ -11,11 +11,16 @@ Problem sizes span two orders of magnitude.  A qubit coupling has one or
 two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
 thousands of these, so the fixed NumPy cost per call dominates there.  At
 the other end a 2:1 extension at d = 3 has three 54x54 blocks and 388
-constraints.  Constraint data therefore travels as one (m, n_b, n_b)
-stack per block, and each iteration factors the m x m Schur matrix once:
-its Cholesky factor is inverted, and the predictor, the corrector (or
-the centring recovery step) and both refinement passes of each Schur
-solve apply that inverse by matrix products.
+constraints.  The engine keeps one stack per block size: X, S, the NT
+factors and the directions are (K, n, n) stacks and the constraints one
+(K, m, n, n) stack, so each eigensolver call, product and step length
+serves all K blocks of a size.  NT scaling is blockwise, so this changes
+no iterate in exact arithmetic.  Schur assembly alone runs block by block:
+over a whole stack it needs an (m, K, n, n) temporary, which raises the
+peak memory of extension solves by a quarter.  Each iteration factors the
+m x m Schur matrix once and inverts its Cholesky factor; every Schur
+solve applies that inverse by matrix products.  A step is accepted when
+one Cholesky factorisation of the new X and S stacks succeeds.
 
 Complex Hermitian data enters exclusively through ``linalg.realify`` and
 is never tied to its doubling symmetry by extra constraints.  Cost,
@@ -77,8 +82,18 @@ class BlockSolution:
     history: list = field(default_factory=list)
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2
+    return (m + _t(m)) / 2
+
+
+def _dot(us, vs) -> float:
+    """Frobenius inner product of two lists of stacks."""
+    return sum(float(np.sum(u * v)) for u, v in zip(us, vs))
 
 
 def _reduce_constraints(a_flat, b, rank_tol=1e-12):
@@ -97,23 +112,6 @@ def _reduce_constraints(a_flat, b, rank_tol=1e-12):
     x_ls = rows.T @ b_red
     residual = np.linalg.norm(a_flat @ x_ls - b)
     return rows, b_red, residual <= 1e-8 * (1.0 + np.linalg.norm(b))
-
-
-def _step_to_boundary(p_inv_half: np.ndarray, direction: np.ndarray) -> float:
-    """sup { alpha : P + alpha D >= 0 } given P^{-1/2}."""
-    g = _sym(p_inv_half @ direction @ p_inv_half)
-    lam_min = float(np.linalg.eigvalsh(g)[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
-
-
-def _spd_roots(m: np.ndarray):
-    """(M^{1/2}, M^{-1/2}) for symmetric positive definite M."""
-    w, u = np.linalg.eigh(_sym(m))
-    w = np.maximum(w, np.max(w) * 1e-16)
-    sq = np.sqrt(w)
-    return (u * sq) @ u.T, (u / sq) @ u.T
 
 
 def solve_blocks(
@@ -145,8 +143,7 @@ def solve_blocks(
     # Symmetrise the stacks and re-span their rows orthonormally.
     a_stk_raw = [np.asarray(blk, dtype=float) for blk in constraint_blocks]
     a_flat_raw = np.concatenate(
-        [((a + a.transpose(0, 2, 1)) / 2).reshape(m_raw, -1) for a in a_stk_raw],
-        axis=1,
+        [_sym(a).reshape(m_raw, -1) for a in a_stk_raw], axis=1
     )
     rows, b_red, consistent = _reduce_constraints(a_flat_raw, b)
     if not consistent:
@@ -163,13 +160,31 @@ def solve_blocks(
     m = rows.shape[0]
     if m == 0:
         raise ValueError("constraint system is empty after reduction")
-    a_stk, a_flat, offset = [], [], 0
-    for n in sizes:
-        blk = rows[:, offset : offset + n * n].reshape(m, n, n)
-        blk = (blk + blk.transpose(0, 2, 1)) / 2
-        a_stk.append(blk)
-        a_flat.append(blk.reshape(m, -1))
-        offset += n * n
+
+    # One stack per distinct block size, in order of first appearance:
+    # ``by_size`` maps a size to the indices of its blocks, and ``where``
+    # lists (ib, g, k) in input order, block ib being entry k of group g.
+    by_size: dict = {}
+    for ib, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(ib)
+    where = sorted(
+        (ib, g, k)
+        for g, mem in enumerate(by_size.values())
+        for k, ib in enumerate(mem)
+    )
+    c = [np.stack([c_blocks[ib] for ib in mem]) for mem in by_size.values()]
+    row_blocks = np.split(rows, np.cumsum([n * n for n in sizes])[:-1], axis=1)
+    a = [
+        _sym(np.stack([row_blocks[ib] for ib in mem]).reshape(len(mem), m, n, n))
+        for n, mem in by_size.items()
+    ]
+    a_flat = [ag.reshape(len(ag), m, -1) for ag in a]
+
+    def a_apply(mats):
+        return sum(np.einsum("kpij,kij->p", ag, mg) for ag, mg in zip(a, mats))
+
+    def a_adjoint(vec):
+        return [np.einsum("p,kpij->kij", vec, ag) for ag in a]
 
     # Interior start: scale X by the first trace constraint, one that is
     # alpha * I on every block, when there is one.  Coupling solves have
@@ -183,57 +198,39 @@ def solve_blocks(
     if is_trace.any():
         p = int(np.argmax(is_trace))
         xi = max(b[p] / (alphas[p] * n_total), 1e-6)
-    x = [xi * np.eye(n) for n in sizes]
-    s = [np.eye(n) for n in sizes]
+    s = [np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()]
+    x = [xi * sg for sg in s]
     y = np.zeros(m)
     if dual_start is not None:
         # re-express the start in the re-spanned constraint coordinates
         y0 = rows @ (a_flat_raw.T @ np.asarray(dual_start, dtype=float))
-        s0 = [
-            c_blocks[ib] - np.einsum("p,pij->ij", y0, a_stk[ib])
-            for ib in range(len(sizes))
-        ]
-        floors = [np.linalg.eigvalsh(sb)[0] for sb in s0]
-        if min(floors) > 1e-8 * (1.0 + max(np.linalg.norm(sb) for sb in s0)):
-            y, s = y0, [_sym(sb) for sb in s0]
-
-    def a_apply(mats):
-        return sum(
-            np.einsum("pij,ij->p", a_stk[ib], mats[ib]) for ib in range(len(sizes))
-        )
-
-    def a_adjoint(vec):
-        return [np.einsum("p,pij->ij", vec, a_stk[ib]) for ib in range(len(sizes))]
+        s0 = [cg - ag for cg, ag in zip(c, a_adjoint(y0))]
+        floor = min(np.linalg.eigvalsh(sg)[:, 0].min() for sg in s0)
+        scale = max(np.linalg.norm(sg, axis=(1, 2)).max() for sg in s0)
+        if floor > 1e-8 * (1.0 + scale):
+            y, s = y0, [_sym(sg) for sg in s0]
 
     norm_b = np.linalg.norm(b_red)
-    norm_c = np.sqrt(sum(np.sum(c * c) for c in c_blocks))
+    norm_c = np.sqrt(_dot(c, c))
     history: list = []
     status, it = "MaxIterations", 0
 
     for it in range(1, opts.max_iters + 1):
-        ax = a_apply(x)
-        rp = b_red - ax
-        ay = a_adjoint(y)
-        rd = [c_blocks[ib] - s[ib] - ay[ib] for ib in range(len(sizes))]
-        mu = sum(np.sum(x[ib] * s[ib]) for ib in range(len(sizes))) / n_total
+        rp = b_red - a_apply(x)
+        rd = [cg - sg - ag for cg, sg, ag in zip(c, s, a_adjoint(y))]
+        mu = _dot(x, s) / n_total
 
-        pobj = sum(np.sum(c_blocks[ib] * x[ib]) for ib in range(len(sizes)))
+        pobj = _dot(c, x)
         dobj = float(b_red @ y)
         # Residuals are measured relative to data and iterate scale: an
         # optimal face at distance O(1/eps) caps the attainable absolute
         # residual near eps/machine precision, not the tolerance.
-        norm_x = np.sqrt(sum(np.sum(xb * xb) for xb in x))
-        norm_s = np.sqrt(sum(np.sum(sb * sb) for sb in s))
-        pinf = np.linalg.norm(rp) / (1.0 + norm_b + norm_x)
-        dinf = np.sqrt(sum(np.sum(r * r) for r in rd)) / (1.0 + norm_c + norm_s)
+        pinf = np.linalg.norm(rp) / (1.0 + norm_b + np.sqrt(_dot(x, x)))
+        dinf = np.sqrt(_dot(rd, rd)) / (1.0 + norm_c + np.sqrt(_dot(s, s)))
         # Rigorous width of the certificate: the identity
         # p - d = <X,S> - y.rp + <Rd,X> bounds |p - d| by this sum, and
         # unlike p - d itself it cannot benefit from cancellation.
-        gap_cert = (
-            mu * n_total
-            + abs(float(y @ rp))
-            + abs(sum(np.sum(rd[ib] * x[ib]) for ib in range(len(sizes))))
-        )
+        gap_cert = mu * n_total + abs(float(y @ rp)) + abs(_dot(rd, x))
         if opts.collect_history:
             history.append(
                 {"primal": pobj, "dual": dobj, "pinf": pinf,
@@ -249,25 +246,30 @@ def solve_blocks(
 
         # Nesterov-Todd scaling per block: W = R R^T with R = X^{1/2} Q L^{-1/4},
         # so that the scaled primal and dual points coincide with diag(sqrt(L)).
-        r_fac, r_inv, v_diag, w_sc, x_ih, s_ih = [], [], [], [], [], []
-        for ib in range(len(sizes)):
-            xh, xih = _spd_roots(x[ib])
-            lam, q = np.linalg.eigh(_sym(xh @ s[ib] @ xh))
-            lam = np.maximum(lam, np.max(lam) * 1e-16)
+        # ``inv_roots`` stacks X^{-1/2} over S^{-1/2} for the step lengths.
+        r_fac, r_inv, v_diag, w_sc, inv_roots = [], [], [], [], []
+        for xg, sg in zip(x, s):
+            k = len(xg)
+            lam, u = np.linalg.eigh(_sym(np.concatenate([xg, sg])))
+            sq = np.sqrt(np.maximum(lam, lam[:, -1:] * 1e-16))[:, None, :]
+            xh = (u[:k] * sq[:k]) @ _t(u[:k])
+            inv_root = (u / sq) @ _t(u)
+            lam, q = np.linalg.eigh(_sym(xh @ sg @ xh))
+            lam = np.maximum(lam, lam[:, -1:] * 1e-16)[:, None, :]
             rf = xh @ (q * lam**-0.25)
-            ri = (q * lam**0.25).T @ xih
             r_fac.append(rf)
-            r_inv.append(ri)
-            v_diag.append(np.sqrt(lam))
-            w_sc.append(rf @ rf.T)
-            x_ih.append(xih)
-            _, sih = _spd_roots(s[ib])
-            s_ih.append(sih)
+            r_inv.append(_t(q * lam**0.25) @ inv_root[:k])
+            v_diag.append(np.sqrt(lam[:, 0]))
+            w_sc.append(rf @ _t(rf))
+            inv_roots.append(inv_root)
 
+        # Schur assembly stays one block at a time: over a whole stack the
+        # W A W products would need an (m, K, n, n) temporary.
         m_mat = np.zeros((m, m))
-        for ib in range(len(sizes)):
-            wa = np.matmul(w_sc[ib], np.matmul(a_stk[ib], w_sc[ib]))
-            m_mat += a_flat[ib] @ wa.reshape(m, -1).T
+        for ag, afg, wg in zip(a, a_flat, w_sc):
+            for ak, afk, wk in zip(ag, afg, wg):
+                wa = np.matmul(wk, np.matmul(ak, wk))
+                m_mat += afk @ wa.reshape(m, -1).T
         try:
             chol = np.linalg.cholesky(_sym(m_mat))
         except np.linalg.LinAlgError:
@@ -286,37 +288,39 @@ def solve_blocks(
                 dy += u_inv @ (u_inv.T @ (rhs - m_mat @ dy))
             return dy
 
+        a_wrw = a_apply([wg @ rdg @ wg for wg, rdg in zip(w_sc, rd)])
+
         def newton(rc):
-            rhs = rp - a_apply(rc)
-            rhs += a_apply(
-                [w_sc[ib] @ rd[ib] @ w_sc[ib] for ib in range(len(sizes))]
-            )
-            dy = schur_solve(rhs)
-            ady = a_adjoint(dy)
-            ds = [rd[ib] - ady[ib] for ib in range(len(sizes))]
-            dx = [
-                _sym(rc[ib] - w_sc[ib] @ ds[ib] @ w_sc[ib])
-                for ib in range(len(sizes))
-            ]
+            dy = schur_solve(rp - a_apply(rc) + a_wrw)
+            ds = [rdg - ag for rdg, ag in zip(rd, a_adjoint(dy))]
+            dx = [_sym(rcg - wg @ dsg @ wg) for rcg, wg, dsg in zip(rc, w_sc, ds)]
             # Lift the primal direction back onto the constraint manifold:
             # the rows are orthonormal, so adding A*(rp - A(dx)) restores
             # A(dx) = rp exactly however ill-conditioned the Schur system.
-            lift = a_adjoint(rp - a_apply(dx))
-            dx = [dx[ib] + lift[ib] for ib in range(len(sizes))]
+            dx = [dxg + lg for dxg, lg in zip(dx, a_adjoint(rp - a_apply(dx)))]
             return dx, dy, ds
 
         def step_lengths(dx, ds):
-            ap = min(_step_to_boundary(x_ih[ib], dx[ib]) for ib in range(len(sizes)))
-            ad = min(_step_to_boundary(s_ih[ib], ds[ib]) for ib in range(len(sizes)))
-            return min(1.0, opts.step_fraction * ap), min(1.0, opts.step_fraction * ad)
+            # sup { alpha : P + alpha D >= 0 } is -1 / lambda_min of
+            # P^{-1/2} D P^{-1/2}, unbounded when that is nonnegative.
+            low_p = low_d = np.inf
+            for dxg, dsg, ih in zip(dx, ds, inv_roots):
+                g = _sym(ih @ np.concatenate([dxg, dsg]) @ ih)
+                low = np.linalg.eigvalsh(g)[:, 0]
+                low_p = min(low_p, low[: len(dxg)].min())
+                low_d = min(low_d, low[len(dxg) :].min())
+            return tuple(
+                1.0 if low >= -1e-14 else min(1.0, opts.step_fraction * (-1.0 / low))
+                for low in (low_p, low_d)
+            )
 
         # Predictor (affine scaling direction).
-        dx_a, dy_a, ds_a = newton([-x[ib] for ib in range(len(sizes))])
+        dx_a, dy_a, ds_a = newton([-xg for xg in x])
         ap, ad = step_lengths(dx_a, ds_a)
         mu_aff = (
-            sum(
-                np.sum((x[ib] + ap * dx_a[ib]) * (s[ib] + ad * ds_a[ib]))
-                for ib in range(len(sizes))
+            _dot(
+                [xg + ap * dxg for xg, dxg in zip(x, dx_a)],
+                [sg + ad * dsg for sg, dsg in zip(s, ds_a)],
             )
             / n_total
         )
@@ -328,15 +332,14 @@ def solve_blocks(
             # ``second_order`` (the predictor pair) it carries Mehrotra's
             # correction, without it the step is a pure centring one.
             rc = []
-            for ib in range(len(sizes)):
-                v = v_diag[ib]
-                rhs_s = target * np.eye(len(v)) - np.diag(v * v)
+            for g, (v, rf, ri) in enumerate(zip(v_diag, r_fac, r_inv)):
+                rhs_s = np.eye(v.shape[1]) * (target - v * v)[:, None, :]
                 if second_order is not None:
-                    dxt = r_inv[ib] @ second_order[0][ib] @ r_inv[ib].T
-                    dst = r_fac[ib].T @ second_order[1][ib] @ r_fac[ib]
+                    dxt = ri @ second_order[0][g] @ _t(ri)
+                    dst = _t(rf) @ second_order[1][g] @ rf
                     rhs_s = rhs_s - _sym(dxt @ dst)
-                rhs_s = 2.0 * rhs_s / np.add.outer(v, v)
-                rc.append(_sym(r_fac[ib] @ rhs_s @ r_fac[ib].T))
+                rhs_s = 2.0 * rhs_s / (v[:, :, None] + v[:, None, :])
+                rc.append(_sym(rf @ rhs_s @ _t(rf)))
             return rc
 
         dx, dy, ds = newton(corrector(sigma * mu, (dx_a, ds_a)))
@@ -352,14 +355,15 @@ def solve_blocks(
                 status = "Stalled"
                 break
         for _ in range(40):  # guard against roundoff at the cone boundary
-            x_new = [_sym(x[ib] + ap * dx[ib]) for ib in range(len(sizes))]
-            s_new = [_sym(s[ib] + ad * ds[ib]) for ib in range(len(sizes))]
-            if all(np.linalg.eigvalsh(xb)[0] > 0 for xb in x_new) and all(
-                np.linalg.eigvalsh(sb)[0] > 0 for sb in s_new
-            ):
+            x_new = [_sym(xg + ap * dxg) for xg, dxg in zip(x, dx)]
+            s_new = [_sym(sg + ad * dsg) for sg, dsg in zip(s, ds)]
+            try:
+                for xg, sg in zip(x_new, s_new):
+                    np.linalg.cholesky(np.concatenate([xg, sg]))
                 break
-            ap *= 0.8
-            ad *= 0.8
+            except np.linalg.LinAlgError:
+                ap *= 0.8
+                ad *= 0.8
         x, s = x_new, s_new
         y = y + ad * dy
 
@@ -367,34 +371,21 @@ def solve_blocks(
         # with a diverging dual objective.
         dobj_new = float(b_red @ y)
         if (it > 8 and pinf > 1e-6 and dobj_new > 1e8 * (1.0 + abs(pobj))) or not (
-            np.isfinite(dobj_new) and all(np.all(np.isfinite(xb)) for xb in x)
+            np.isfinite(dobj_new) and all(np.all(np.isfinite(xg)) for xg in x)
         ):
             status = "Infeasible"
             break
 
-    pobj = sum(np.sum(c_blocks[ib] * x[ib]) for ib in range(len(sizes)))
-    dobj = float(b_red @ y)
     rp = b_red - a_apply(x)
-    ay = a_adjoint(y)
-    gap = (
-        sum(np.sum(x[ib] * s[ib]) for ib in range(len(sizes)))
-        + abs(float(y @ rp))
-        + abs(
-            sum(
-                np.sum((c_blocks[ib] - s[ib] - ay[ib]) * x[ib])
-                for ib in range(len(sizes))
-            )
-        )
-    )
+    rd = [cg - sg - ag for cg, sg, ag in zip(c, s, a_adjoint(y))]
     return BlockSolution(
-        x_blocks=x,
-        s_blocks=s,
+        x_blocks=[x[g][k] for _, g, k in where],
+        s_blocks=[s[g][k] for _, g, k in where],
         y=y,
-        primal_value=pobj,
-        dual_value=dobj,
-        gap=gap,
+        primal_value=_dot(c, x),
+        dual_value=float(b_red @ y),
+        gap=_dot(x, s) + abs(float(y @ rp)) + abs(_dot(rd, x)),
         status=status,
         iterations=it,
         history=history,
     )
-

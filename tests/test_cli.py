@@ -122,6 +122,16 @@ class TestDistance:
         assert rc == 1
         capsys.readouterr()
 
+    def test_malformed_extension_order_exits_1(self, mixed_file, sz_file, capsys):
+        rc = main(
+            ["distance", "--rho", mixed_file, "--sigma", mixed_file,
+             "--obs", sz_file, "--set", "ppt_extension_x"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_dimension_mismatch_exits_1(self, tmp_path, mixed_file, capsys):
         obs3 = write_operator(tmp_path / "h3.json", np.diag([1.0, 0.0, -1.0]), [3])
         rc = main(

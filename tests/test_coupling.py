@@ -30,8 +30,9 @@ class TestSetParsing:
         assert cp.coupling_set("ppt_extension_2") == cp.ppt_extension(2)
 
     def test_unknown(self):
-        with pytest.raises(InvalidDimension):
-            cp.coupling_set("bogus")
+        for name in ("bogus", "ppt_extension_x", "ppt_extension_", "ppt_extension_2.5"):
+            with pytest.raises(InvalidDimension):
+                cp.coupling_set(name)
 
     def test_labels(self):
         assert cp.ppt_extension(3).label() == "ppt_extension_3"

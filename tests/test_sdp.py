@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 
-from qot import linalg
+from qot import cli, linalg, sdp
+from qot import coupling as cp
+from qot import qstates as qs
+from qot import wasserstein as ws
 from qot.sdp import SolveOptions, solve_blocks
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -191,3 +196,96 @@ class TestRealifiedStructure:
         )
         assert res.status == "Optimal"
         assert abs(res.primal_value - 2.0) < 1e-7
+
+    def test_mixed_block_sizes(self):
+        # blocks of sizes 2, 3, 2, so the two size groups interleave; each
+        # block has trace one and the link reads X1[0,0] + X2[2,2] + X3[0,0]
+        # = 3/2.  With a, c, e those three entries the cost is
+        # (2 - a) + (1 + c) + (2 + 2e): a = 1, and the remaining 1/2 goes to
+        # c, the cheaper of the other two.  Optimum 1 + 3/2 + 2 = 9/2 at
+        # X1 = diag(1, 0), diag X2 = (0, 1/2, 1/2) and X3 = diag(0, 1).
+        z2, z3 = np.zeros((2, 2)), np.zeros((3, 3))
+        costs = [np.diag([1.0, 2.0]), np.diag([3.0, 1.0, 2.0]), np.diag([4.0, 2.0])]
+        stacks = [
+            [np.eye(2), z2, z2, np.diag([1.0, 0.0])],
+            [z3, np.eye(3), z3, np.diag([0.0, 0.0, 1.0])],
+            [z2, z2, np.eye(2), np.diag([1.0, 0.0])],
+        ]
+        res = solve_blocks(
+            costs, [np.stack(stk) for stk in stacks], [1.0, 1.0, 1.0, 1.5], TIGHT
+        )
+        assert res.status == "Optimal"
+        assert abs(res.primal_value - 4.5) < 1e-7
+        shapes = [(2, 2), (3, 3), (2, 2)]
+        assert [x.shape for x in res.x_blocks] == shapes
+        assert [s.shape for s in res.s_blocks] == shapes
+        assert np.allclose(res.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
+        assert np.allclose(np.diag(res.x_blocks[1]), [0.0, 0.5, 0.5], atol=1e-6)
+        assert np.allclose(res.x_blocks[2], np.diag([0.0, 1.0]), atol=1e-6)
+
+        # a second trace row for X1 with another value is inconsistent
+        stacks[0].append(np.eye(2))
+        stacks[1].append(z3)
+        stacks[2].append(z2)
+        res = solve_blocks(
+            costs, [np.stack(stk) for stk in stacks], [1.0, 1.0, 1.0, 1.5, 2.0]
+        )
+        assert res.status == "Infeasible"
+        assert [x.shape for x in res.x_blocks] == shapes
+        assert [s.shape for s in res.s_blocks] == shapes
+
+
+class TestCallCounts:
+    # The engine holds all blocks of one size in one stack, so an iteration
+    # makes the same eigensolver calls for the two-block fig2 ppt solve as
+    # for the one-block general solve.  A per-block loop doubles the count.
+    SPIED = ("eigh", "eigvalsh", "cholesky")
+
+    def fig2_inputs(self, monkeypatch):
+        calls = []
+        engine = sdp.solve_blocks
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return engine(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, "solve_blocks", spy)
+            rho, sigma = cli.example_states(0.3)
+            spec = ws.CostSpec((qs.pauli("z"),), "dpt")
+            for cset in (cp.GENERAL, cp.PPT):
+                ws.distance_squared(rho, sigma, spec, cset)
+        return calls
+
+    def counts(self, monkeypatch, args, kwargs, max_iters):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                counts[name] += 1
+                return fn(*a, **k)
+
+            return wrapper
+
+        with monkeypatch.context() as mp:
+            for name in self.SPIED:
+                mp.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            options = SolveOptions(max_iters=max_iters)
+            res = solve_blocks(*args[:3], options, **kwargs)
+        assert res.status == "MaxIterations"
+        return counts
+
+    def test_eig_calls_per_iteration_independent_of_block_count(self, monkeypatch):
+        (gen_args, gen_kw), (ppt_args, ppt_kw) = self.fig2_inputs(monkeypatch)
+        assert (len(gen_args[0]), len(ppt_args[0])) == (1, 2)
+        per_iter = set()
+        for args, kwargs in ((gen_args, gen_kw), (ppt_args, ppt_kw)):
+            for k in (2, 3, 4):
+                before = self.counts(monkeypatch, args, kwargs, k)
+                after = self.counts(monkeypatch, args, kwargs, k + 1)
+                per_iter.add(
+                    tuple(after[name] - before[name] for name in self.SPIED)
+                )
+        assert len(per_iter) == 1
+        eigh, eigvalsh, _ = per_iter.pop()
+        assert eigh + eigvalsh <= 5
