@@ -68,10 +68,17 @@ def load_operator_file(path: str):
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: malformed JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise _CliError(f"{path}: expected a JSON object with 'dims' and 'matrix'")
     for key in ("dims", "matrix"):
         if key not in data:
             raise _CliError(f"{path}: missing field {key!r}")
-    dims = tuple(int(d) for d in data["dims"])
+    dims = data["dims"]
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise _CliError(f"{path}: field 'dims' is not a list of positive integers")
+    dims = tuple(dims)
     try:
         mat = np.array(
             [[complex(re, im) for re, im in row] for row in data["matrix"]],

@@ -43,7 +43,7 @@ from .errors import (
     InvalidDimension,
     MarginalMismatch,
 )
-from .qstates import DensityMatrix, as_density, symmetric_isometry
+from .qstates import DensityMatrix, as_density, flip_operator, symmetric_isometry
 
 PPT_EXTENSION_CAP = 3
 SUPPORT_CUTOFF = 1e-12
@@ -171,8 +171,11 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     Counted: the Hermitian basis of the variable and its n - 1 stacks of
     swap rows; the stack of all equality rows and its real coordinates,
     with the full SVD of those (input copy, U, V^T and workspace); and the
-    engine's constraint data, about six live copies of the realified
-    stacks of the free directions, one (2 nc)^2 block per cone.
+    engine's constraint data.  That is four copies of the realified free
+    directions, one (2 nc)^2 block per cone: the caller's stacks (freed
+    before the engine's SVD unless another reference holds them), the
+    engine's flat copy, and the SVD's input copy and V^T; plus U and the
+    SVD workspace, eight free x free matrices.
     """
     nc = r1**n * r2
     var = nc * nc  # real dimension of the variable
@@ -186,7 +189,7 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     svd = 8 * (
         2 * n_rows * var + n_rows * n_rows + var * var + 4 * min(n_rows, var) ** 2
     )
-    engine = 6 * 8 * free * (n + 1) * (2 * nc) ** 2
+    engine = 8 * (4 * free * (n + 1) * (2 * nc) ** 2 + 8 * free * free)
     return basis_and_swaps + eq_rows + svd + engine
 
 
@@ -236,14 +239,6 @@ def _marginal_factor(mat: np.ndarray) -> _MarginalFactor:
     if lam.min() < WHITEN_THRESHOLD:
         return _MarginalFactor(v * np.sqrt(lam), diag, np.eye(r, dtype=complex), lam, v)
     return _MarginalFactor(v, np.eye(r, dtype=complex), diag, lam, v)
-
-
-def _flip(d: int) -> np.ndarray:
-    f = np.zeros((d * d, d * d))
-    for mm in range(d):
-        for nn in range(d):
-            f[nn * d + mm, mm * d + nn] = 1.0
-    return f
 
 
 def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
@@ -412,7 +407,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         ]
         rhs = [[1.0], linalg.frob_inner(b1, mc1), linalg.frob_inner(b2, mc2)]
         # Permutation symmetry of the A copies via adjacent transpositions.
-        f = _flip(r1)
+        f = flip_operator(r1).matrix
         basis = _herm_basis(nc)
         for t in range(n - 1):
             swap = np.kron(

@@ -183,9 +183,10 @@ def maximally_entangled(d: int) -> DensityMatrix:
 
 
 def flip_operator(d: int) -> HermitianOperator:
-    """Flip (swap) operator F |m>|n> = |n>|m> on a d x d system."""
-    if d < 2:
-        raise InvalidDimension(f"need d >= 2, got {d}")
+    """Flip (swap) operator F |m>|n> = |n>|m> on a d x d system (the
+    identity for d = 1, as for the pure first marginal of an extension)."""
+    if d < 1:
+        raise InvalidDimension(f"need d >= 1, got {d}")
     f = np.zeros((d * d, d * d), dtype=complex)
     for mm in range(d):
         for nn in range(d):

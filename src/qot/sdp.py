@@ -9,18 +9,18 @@ returned values).
 
 Problem sizes span two orders of magnitude.  A qubit coupling has one or
 two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
-thousands of these, so the fixed NumPy cost per call dominates there.  At
-the other end a 2:1 extension at d = 3 has three 54x54 blocks and 388
-constraints.  The engine keeps one stack per block size: X, S, the NT
-factors and the directions are (K, n, n) stacks and the constraints one
-(K, m, n, n) stack, so each eigensolver call, product and step length
-serves all K blocks of a size.  NT scaling is blockwise, so this changes
-no iterate in exact arithmetic.  Schur assembly alone runs block by block:
-over a whole stack it needs an (m, K, n, n) temporary, which raises the
-peak memory of extension solves by a quarter.  Each iteration factors the
-m x m Schur matrix once and inverts its Cholesky factor; every Schur
-solve applies that inverse by matrix products.  A step is accepted when
-one Cholesky factorisation of the new X and S stacks succeeds.
+thousands of these, so the fixed NumPy cost per call dominates there.  A
+2:1 extension at d = 3 has three 54x54 blocks and 388 constraints (27 MB).
+The engine uses one flat layout: blocks are grouped by size, a group of K
+blocks of size n taking K n^2 adjacent coordinates.  The constraints are
+one (m, N) matrix, and X, S and every direction one length-N vector with a
+(K, n, n) view per group, so A(.), A*(.) and each inner product is one
+call, and each eigensolver call, product and step length serves a group.
+NT scaling is blockwise, so no iterate changes in exact arithmetic.  Schur
+assembly alone runs block by block, as over a group it needs an
+(m, K, n, n) temporary.  Each iteration factors the Schur matrix once and
+inverts its Cholesky factor, and a step is accepted when one Cholesky
+factorisation of the new X and S succeeds.
 
 Complex Hermitian data enters exclusively through ``linalg.realify`` and
 is never tied to its doubling symmetry by extra constraints.  Cost,
@@ -31,10 +31,15 @@ drift away from the symmetric subspace (by about 1e-4 on a 3x3 complex
 problem started at X = I).  ``linalg.derealify`` averages the two copies,
 so couplings read back through it carry no such drift.
 
-Constraints are preprocessed with an SVD: redundant or dependent rows are
-re-spanned by an orthonormal independent set, and an inconsistent system
-is reported as Infeasible outright.  The duality gap is certified as an
-absolute width, ``gap_tol``, whatever the scale of the objective.
+Constraints are re-spanned by an orthonormal independent set from an SVD,
+and an inconsistent system is reported as Infeasible outright.  The engine
+holds one copy of them: the symmetrised input is written into the flat
+layout once (input stacks with no other reference are freed then), and
+the re-spanned rows, symmetrised in place, replace it once the dual start
+is re-expressed.  A(.) and A*(.) use np.einsum, which the benchmark's smoke
+test requires; it matches a matrix product at extension sizes and costs
+about 1 us more per call at fig2 sizes.  The duality gap is certified as
+an absolute width, ``gap_tol``, whatever the scale of the objective.
 
 At a degenerate optimum (strict complementarity lost, as where two
 coupling sets give the same value) the Mehrotra step can collapse: both
@@ -91,11 +96,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + _t(m)) / 2
 
 
-def _dot(us, vs) -> float:
-    """Frobenius inner product of two lists of stacks."""
-    return sum(float(np.sum(u * v)) for u, v in zip(us, vs))
-
-
 def _reduce_constraints(a_flat, b, rank_tol=1e-12):
     """Re-span constraint rows with an orthonormal independent set.
 
@@ -134,113 +134,117 @@ def solve_blocks(
     unusable start falls back to the cold one.
     """
     opts = options or SolveOptions()
-    c_blocks = [_sym(np.asarray(c, dtype=float)) for c in cost_blocks]
-    sizes = [c.shape[0] for c in c_blocks]
+    sizes = [np.shape(c)[0] for c in cost_blocks]
     n_total = sum(sizes)
     b = np.asarray(b, dtype=float)
-    m_raw = len(b)
 
-    # Symmetrise the stacks and re-span their rows orthonormally.
-    a_stk_raw = [np.asarray(blk, dtype=float) for blk in constraint_blocks]
-    a_flat_raw = np.concatenate(
-        [_sym(a).reshape(m_raw, -1) for a in a_stk_raw], axis=1
-    )
-    rows, b_red, consistent = _reduce_constraints(a_flat_raw, b)
-    if not consistent:
-        return BlockSolution(
-            x_blocks=[np.zeros((n, n)) for n in sizes],
-            s_blocks=[np.zeros((n, n)) for n in sizes],
-            y=np.zeros(0),
-            primal_value=np.nan,
-            dual_value=np.nan,
-            gap=np.nan,
-            status="Infeasible",
-            iterations=0,
-        )
-    m = rows.shape[0]
-    if m == 0:
-        raise ValueError("constraint system is empty after reduction")
-
-    # One stack per distinct block size, in order of first appearance:
-    # ``by_size`` maps a size to the indices of its blocks, and ``where``
-    # lists (ib, g, k) in input order, block ib being entry k of group g.
+    # Size groups in order of first appearance, each in input order; block
+    # ib takes the n_ib^2 coordinates from start[ib] on.
     by_size: dict = {}
     for ib, n in enumerate(sizes):
         by_size.setdefault(n, []).append(ib)
-    where = sorted(
-        (ib, g, k)
-        for g, mem in enumerate(by_size.values())
-        for k, ib in enumerate(mem)
-    )
-    c = [np.stack([c_blocks[ib] for ib in mem]) for mem in by_size.values()]
-    row_blocks = np.split(rows, np.cumsum([n * n for n in sizes])[:-1], axis=1)
-    a = [
-        _sym(np.stack([row_blocks[ib] for ib in mem]).reshape(len(mem), m, n, n))
-        for n, mem in by_size.items()
-    ]
-    a_flat = [ag.reshape(len(ag), m, -1) for ag in a]
+    start, n_cols = [0] * len(sizes), 0
+    for n, mem in by_size.items():
+        for ib in mem:
+            start[ib], n_cols = n_cols, n_cols + n * n
 
-    def a_apply(mats):
-        return sum(np.einsum("kpij,kij->p", ag, mg) for ag, mg in zip(a, mats))
+    def views(vec):
+        return [
+            vec[start[mem[0]] : start[mem[-1]] + n * n].reshape(len(mem), n, n)
+            for n, mem in by_size.items()
+        ]
+
+    def flat(stacks):
+        return np.concatenate([g.reshape(-1) for g in stacks])
+
+    def cols(mat, ib):
+        """Block ib of a flat vector, or of every row of a matrix."""
+        n = sizes[ib]
+        return mat[..., start[ib] : start[ib] + n * n].reshape(*mat.shape[:-1], n, n)
+
+    # Write the symmetrised input into the flat layout, and scan the input
+    # for a trace constraint, one that is alpha * I on every block.  Only
+    # rows whose block traces fit reach np.isclose, which copies its input.
+    c, a = np.empty(n_cols), np.empty((len(b), n_cols))
+    for ib, (cost, blk) in enumerate(zip(cost_blocks, constraint_blocks)):
+        cols(c, ib)[...] = _sym(np.asarray(cost, dtype=float))
+        blk, n = np.asarray(blk, dtype=float), sizes[ib]
+        np.add(blk, _t(blk), out=cols(a, ib))
+        if ib == 0:
+            alphas = blk[:, 0, 0].copy()
+            is_trace = np.abs(alphas) > 1e-12
+        tol = 2 * n * (1e-12 + 1e-5 * np.abs(alphas))
+        is_trace &= np.abs(np.trace(blk, axis1=1, axis2=2) - n * alphas) <= tol
+        p = np.flatnonzero(is_trace)
+        scaled_eye = alphas[p, None, None] * np.eye(n)
+        is_trace[p] = np.isclose(blk[p], scaled_eye, atol=1e-12).all(axis=(1, 2))
+    del constraint_blocks, blk
+    a /= 2
+
+    rows, b_red, consistent = _reduce_constraints(a, b)
+    if not consistent:
+        empty = [[np.zeros((n, n)) for n in sizes] for _ in range(2)]
+        return BlockSolution(*empty, np.zeros(0), *[np.nan] * 3, "Infeasible", 0)
+    m = rows.shape[0]
+    if m == 0:
+        raise ValueError("constraint system is empty after reduction")
+    if dual_start is not None:
+        # re-express the start in the re-spanned constraint coordinates
+        y0 = rows @ (a.T @ np.asarray(dual_start, dtype=float))
+    a = rows
+    for ib in range(len(sizes)):
+        blk = cols(a, ib)
+        np.add(blk, _t(blk), out=blk)
+    a /= 2
+
+    def a_apply(vec):
+        return np.einsum("pj,j->p", a, vec)
 
     def a_adjoint(vec):
-        return [np.einsum("p,kpij->kij", vec, ag) for ag in a]
+        return np.einsum("p,pj->j", vec, a)
 
-    # Interior start: scale X by the first trace constraint, one that is
-    # alpha * I on every block, when there is one.  Coupling solves have
-    # none (their directions are traceless) and start at X = I.
+    # Interior start: scale X by the first trace constraint.  Coupling
+    # solves have none (their directions are traceless) and start at X = I.
     xi = 1.0
-    alphas = a_stk_raw[0][:, 0, 0]
-    is_trace = np.abs(alphas) > 1e-12
-    for blk, n in zip(a_stk_raw, sizes):
-        scaled_eye = alphas[:, None, None] * np.eye(n)
-        is_trace &= np.isclose(blk, scaled_eye, atol=1e-12).all(axis=(1, 2))
     if is_trace.any():
         p = int(np.argmax(is_trace))
         xi = max(b[p] / (alphas[p] * n_total), 1e-6)
-    s = [np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()]
-    x = [xi * sg for sg in s]
+    s = flat([np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()])
+    x = xi * s
     y = np.zeros(m)
     if dual_start is not None:
-        # re-express the start in the re-spanned constraint coordinates
-        y0 = rows @ (a_flat_raw.T @ np.asarray(dual_start, dtype=float))
-        s0 = [cg - ag for cg, ag in zip(c, a_adjoint(y0))]
-        floor = min(np.linalg.eigvalsh(sg)[:, 0].min() for sg in s0)
-        scale = max(np.linalg.norm(sg, axis=(1, 2)).max() for sg in s0)
+        s0 = c - a_adjoint(y0)
+        floor = min(np.linalg.eigvalsh(sg)[:, 0].min() for sg in views(s0))
+        scale = max(np.linalg.norm(sg, axis=(1, 2)).max() for sg in views(s0))
         if floor > 1e-8 * (1.0 + scale):
-            y, s = y0, [_sym(sg) for sg in s0]
+            y, s = y0, flat([_sym(sg) for sg in views(s0)])
 
-    norm_b = np.linalg.norm(b_red)
-    norm_c = np.sqrt(_dot(c, c))
+    norm_b, norm_c = np.linalg.norm(b_red), np.linalg.norm(c)
     history: list = []
     status, it = "MaxIterations", 0
 
     for it in range(1, opts.max_iters + 1):
         rp = b_red - a_apply(x)
-        rd = [cg - sg - ag for cg, sg, ag in zip(c, s, a_adjoint(y))]
-        mu = _dot(x, s) / n_total
+        rd = c - s - a_adjoint(y)
+        mu = float(x @ s) / n_total
 
-        pobj = _dot(c, x)
+        pobj = float(c @ x)
         dobj = float(b_red @ y)
         # Residuals are measured relative to data and iterate scale: an
         # optimal face at distance O(1/eps) caps the attainable absolute
         # residual near eps/machine precision, not the tolerance.
-        pinf = np.linalg.norm(rp) / (1.0 + norm_b + np.sqrt(_dot(x, x)))
-        dinf = np.sqrt(_dot(rd, rd)) / (1.0 + norm_c + np.sqrt(_dot(s, s)))
+        pinf = np.linalg.norm(rp) / (1.0 + norm_b + np.linalg.norm(x))
+        dinf = np.linalg.norm(rd) / (1.0 + norm_c + np.linalg.norm(s))
         # Rigorous width of the certificate: the identity
         # p - d = <X,S> - y.rp + <Rd,X> bounds |p - d| by this sum, and
         # unlike p - d itself it cannot benefit from cancellation.
-        gap_cert = mu * n_total + abs(float(y @ rp)) + abs(_dot(rd, x))
+        gap_cert = mu * n_total + abs(float(y @ rp)) + abs(float(rd @ x))
         if opts.collect_history:
             history.append(
                 {"primal": pobj, "dual": dobj, "pinf": pinf,
                  "dinf": dinf, "gap_cert": gap_cert}
             )
-        if (
-            pinf <= opts.feas_tol
-            and dinf <= opts.feas_tol
-            and gap_cert <= opts.gap_tol
-        ):
+        if pinf <= opts.feas_tol and dinf <= opts.feas_tol and gap_cert <= opts.gap_tol:
             status = "Optimal"
             break
 
@@ -248,7 +252,7 @@ def solve_blocks(
         # so that the scaled primal and dual points coincide with diag(sqrt(L)).
         # ``inv_roots`` stacks X^{-1/2} over S^{-1/2} for the step lengths.
         r_fac, r_inv, v_diag, w_sc, inv_roots = [], [], [], [], []
-        for xg, sg in zip(x, s):
+        for xg, sg in zip(views(x), views(s)):
             k = len(xg)
             lam, u = np.linalg.eigh(_sym(np.concatenate([xg, sg])))
             sq = np.sqrt(np.maximum(lam, lam[:, -1:] * 1e-16))[:, None, :]
@@ -266,10 +270,11 @@ def solve_blocks(
         # Schur assembly stays one block at a time: over a whole stack the
         # W A W products would need an (m, K, n, n) temporary.
         m_mat = np.zeros((m, m))
-        for ag, afg, wg in zip(a, a_flat, w_sc):
-            for ak, afk, wk in zip(ag, afg, wg):
+        for mem, wg in zip(by_size.values(), w_sc):
+            for ib, wk in zip(mem, wg):
+                ak = cols(a, ib)
                 wa = np.matmul(wk, np.matmul(ak, wk))
-                m_mat += afk @ wa.reshape(m, -1).T
+                m_mat += ak.reshape(m, -1) @ wa.reshape(m, -1).T
         try:
             chol = np.linalg.cholesky(_sym(m_mat))
         except np.linalg.LinAlgError:
@@ -288,23 +293,24 @@ def solve_blocks(
                 dy += u_inv @ (u_inv.T @ (rhs - m_mat @ dy))
             return dy
 
-        a_wrw = a_apply([wg @ rdg @ wg for wg, rdg in zip(w_sc, rd)])
+        a_wrw = a_apply(flat([wg @ rdg @ wg for wg, rdg in zip(w_sc, views(rd))]))
 
         def newton(rc):
             dy = schur_solve(rp - a_apply(rc) + a_wrw)
-            ds = [rdg - ag for rdg, ag in zip(rd, a_adjoint(dy))]
-            dx = [_sym(rcg - wg @ dsg @ wg) for rcg, wg, dsg in zip(rc, w_sc, ds)]
+            ds = rd - a_adjoint(dy)
+            groups = zip(views(rc), w_sc, views(ds))
+            dx = flat([_sym(rcg - wg @ dsg @ wg) for rcg, wg, dsg in groups])
             # Lift the primal direction back onto the constraint manifold:
             # the rows are orthonormal, so adding A*(rp - A(dx)) restores
             # A(dx) = rp exactly however ill-conditioned the Schur system.
-            dx = [dxg + lg for dxg, lg in zip(dx, a_adjoint(rp - a_apply(dx)))]
+            dx += a_adjoint(rp - a_apply(dx))
             return dx, dy, ds
 
         def step_lengths(dx, ds):
             # sup { alpha : P + alpha D >= 0 } is -1 / lambda_min of
             # P^{-1/2} D P^{-1/2}, unbounded when that is nonnegative.
             low_p = low_d = np.inf
-            for dxg, dsg, ih in zip(dx, ds, inv_roots):
+            for dxg, dsg, ih in zip(views(dx), views(ds), inv_roots):
                 g = _sym(ih @ np.concatenate([dxg, dsg]) @ ih)
                 low = np.linalg.eigvalsh(g)[:, 0]
                 low_p = min(low_p, low[: len(dxg)].min())
@@ -315,15 +321,9 @@ def solve_blocks(
             )
 
         # Predictor (affine scaling direction).
-        dx_a, dy_a, ds_a = newton([-xg for xg in x])
+        dx_a, dy_a, ds_a = newton(-x)
         ap, ad = step_lengths(dx_a, ds_a)
-        mu_aff = (
-            _dot(
-                [xg + ap * dxg for xg, dxg in zip(x, dx_a)],
-                [sg + ad * dsg for sg, dsg in zip(s, ds_a)],
-            )
-            / n_total
-        )
+        mu_aff = float((x + ap * dx_a) @ (s + ad * ds_a)) / n_total
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 
         def corrector(target, second_order):
@@ -335,12 +335,12 @@ def solve_blocks(
             for g, (v, rf, ri) in enumerate(zip(v_diag, r_fac, r_inv)):
                 rhs_s = np.eye(v.shape[1]) * (target - v * v)[:, None, :]
                 if second_order is not None:
-                    dxt = ri @ second_order[0][g] @ _t(ri)
-                    dst = _t(rf) @ second_order[1][g] @ rf
+                    dxt = ri @ views(second_order[0])[g] @ _t(ri)
+                    dst = _t(rf) @ views(second_order[1])[g] @ rf
                     rhs_s = rhs_s - _sym(dxt @ dst)
                 rhs_s = 2.0 * rhs_s / (v[:, :, None] + v[:, None, :])
                 rc.append(_sym(rf @ rhs_s @ _t(rf)))
-            return rc
+            return flat(rc)
 
         dx, dy, ds = newton(corrector(sigma * mu, (dx_a, ds_a)))
         ap, ad = step_lengths(dx, ds)
@@ -355,10 +355,10 @@ def solve_blocks(
                 status = "Stalled"
                 break
         for _ in range(40):  # guard against roundoff at the cone boundary
-            x_new = [_sym(xg + ap * dxg) for xg, dxg in zip(x, dx)]
-            s_new = [_sym(sg + ad * dsg) for sg, dsg in zip(s, ds)]
+            x_new = flat([_sym(g) for g in views(x + ap * dx)])
+            s_new = flat([_sym(g) for g in views(s + ad * ds)])
             try:
-                for xg, sg in zip(x_new, s_new):
+                for xg, sg in zip(views(x_new), views(s_new)):
                     np.linalg.cholesky(np.concatenate([xg, sg]))
                 break
             except np.linalg.LinAlgError:
@@ -371,20 +371,20 @@ def solve_blocks(
         # with a diverging dual objective.
         dobj_new = float(b_red @ y)
         if (it > 8 and pinf > 1e-6 and dobj_new > 1e8 * (1.0 + abs(pobj))) or not (
-            np.isfinite(dobj_new) and all(np.all(np.isfinite(xg)) for xg in x)
+            np.isfinite(dobj_new) and np.all(np.isfinite(x))
         ):
             status = "Infeasible"
             break
 
     rp = b_red - a_apply(x)
-    rd = [cg - sg - ag for cg, sg, ag in zip(c, s, a_adjoint(y))]
+    rd = c - s - a_adjoint(y)
     return BlockSolution(
-        x_blocks=[x[g][k] for _, g, k in where],
-        s_blocks=[s[g][k] for _, g, k in where],
+        x_blocks=[cols(x, ib) for ib in range(len(sizes))],
+        s_blocks=[cols(s, ib) for ib in range(len(sizes))],
         y=y,
-        primal_value=_dot(c, x),
+        primal_value=float(c @ x),
         dual_value=float(b_red @ y),
-        gap=_dot(x, s) + abs(float(y @ rp)) + abs(_dot(rd, x)),
+        gap=float(x @ s) + abs(float(y @ rp)) + abs(float(rd @ x)),
         status=status,
         iterations=it,
         history=history,

@@ -93,6 +93,13 @@ def _product_value(rho, sigma, spec: CostSpec) -> float:
     return 0.5 * both + _mean_shift(rho, sigma, spec)
 
 
+def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray) -> list:
+    """The negated null-space directions through every cone map, as one
+    realified (k, n_b, n_b) stack per cone."""
+    directions = linalg.vec_to_herm(null, problem.var_cdim)
+    return [linalg.realify(-apply(directions)) for _, apply in problem.cone_maps]
+
+
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     """Minimize <c_var, X> over the coupling problem via the null-space
     dual embedding; returns (X_var, engine result)."""
@@ -108,13 +115,9 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     x0 = linalg.vec_to_herm(x0_vec, n)
     if null.shape[0] == 0:
         return x0, None
-    directions = linalg.vec_to_herm(null, n)
     c_vec = linalg.herm_to_vec(c_var)
     b_hat = -(null @ c_vec)
     cost_blocks = [linalg.realify(apply(x0)) for _, apply in problem.cone_maps]
-    # One realified (k, n_b, n_b) stack per cone.
-    cons = [linalg.realify(-apply(directions)) for _, apply in problem.cone_maps]
-    del directions
     # An interior witness gives a dual-feasible start: the slack at
     # y = (witness coordinates) is the witness itself, mapped through the
     # cones, which is strictly PD.
@@ -123,7 +126,11 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
         dual_start = null @ (
             linalg.herm_to_vec(problem.feasible_witness) - x0_vec
         )
-    res = sdp.solve_blocks(cost_blocks, cons, b_hat, options, dual_start=dual_start)
+    # The constraint stacks go to the engine with no reference kept here,
+    # so it can free them once it holds its own copy.
+    res = sdp.solve_blocks(
+        cost_blocks, _cone_stacks(problem, null), b_hat, options, dual_start=dual_start
+    )
     # The original optimizer is the slack of the reduced problem; project
     # it back onto the constraint subspace to null out dual residual.
     x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0]))

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from qot import cli
+from qot import metrology as mt
 from qot import qstates as qs
 from qot.cli import main
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def write_operator(path, matrix, dims):
@@ -98,6 +107,23 @@ class TestDistance:
         )
         assert rc == 1
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["3", '{"dims": 2}', '{"dims": ["x"]}', '{"dims": [2.7]}'],
+        ids=["number", "scalar_dims", "string_dims", "fractional_dims"],
+    )
+    def test_malformed_document_exits_1(self, tmp_path, sz_file, capsys, doc):
+        # a 2 x 2 matrix, so only the document shape or the dims are wrong
+        if doc.startswith("{"):
+            doc = doc[:-1] + ', "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        rc = main(
+            ["distance", "--rho", str(bad), "--sigma", str(bad), "--obs", sz_file]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_invalid_state_exits_1(self, tmp_path, sz_file, capsys):
         bad = write_operator(tmp_path / "nonpsd.json", np.diag([2.0, -1.0]), [2])
@@ -210,10 +236,7 @@ class TestFig2:
         assert not out.exists()
 
     def test_script_matches_cli(self, tmp_path, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_fig2_sweep.py"
-        spec = importlib.util.spec_from_file_location("run_fig2_sweep", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_script("run_fig2_sweep")
         via_script = tmp_path / "script.csv"
         via_cli = tmp_path / "cli.csv"
         assert script.run(["--points", "8", "--out", str(via_script)]) == 0
@@ -244,6 +267,22 @@ class TestTable1:
         rows = json.loads(capsys.readouterr().out)["rows"]
         for r in rows:
             assert abs(r["value"]) < 1e-7
+
+
+class TestSelfDistanceDemo:
+    def test_rows_match_closed_forms(self, capsys):
+        assert load_script("self_distance_demo").run([]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            parts = line.split()
+            if len(parts) == 3 and parts[0] in ("general", "ppt"):
+                rows[parts[0]] = float(parts[1])
+        # the script's default state: visibility 0.5 towards |1>_x
+        x1 = qs.xbasis_state(1)
+        rho = qs.validate_density(0.5 * np.outer(x1, x1.conj()) + 0.25 * np.eye(2))
+        h = qs.pauli("z")
+        assert rows["general"] == pytest.approx(mt.skew_information(rho, h), abs=1e-6)
+        assert rows["ppt"] == pytest.approx(mt.qfi(rho, h) / 4, abs=1e-6)
 
 
 class TestCheck:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qot import coupling as cp
 from qot import linalg
 from qot import qstates as qs
+from qot import wasserstein as ws
 from qot.errors import DegenerateEigenbasis, InvalidDimension, MarginalMismatch
 
 
@@ -102,6 +104,8 @@ class TestBuild:
             cp.build(rho, rho, cp.ppt_extension(3), "gmpc")
 
     def test_extension_size_guard_admits_benchmark_inputs(self):
+        # admitted, and the estimate bounds the traced peak of the build
+        # and the solve together
         rng = np.random.default_rng(69)
         for d, n in ((3, 2), (2, 3)):
             need = cp.extension_memory_estimate(d, d, n)
@@ -109,6 +113,27 @@ class TestBuild:
             rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng)
             problem = cp.build(rho, sigma, cp.ppt_extension(n), "dpt")
             assert problem.var_cdim == d**n * d
+            del problem
+            spec = ws.CostSpec((qs.random_hermitian(d, rng),), "dpt")
+            tracemalloc.start()
+            try:
+                res = ws.distance_squared(rho, sigma, spec, cp.ppt_extension(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.diagnostics["status"] == "Optimal"
+            assert peak <= need, (d, n, peak, need)
+
+    def test_extension_with_pure_first_marginal(self):
+        # r1 = 1: the flip on one copy is the 1 x 1 identity, so every swap
+        # row vanishes, and the pure marginal forces the product coupling
+        rng = np.random.default_rng(71)
+        psi, sigma = qs.random_pure(2, rng), qs.random_density(2, rng)
+        spec = ws.CostSpec((qs.random_hermitian(2, rng),), "gmpc")
+        res = ws.distance_squared(psi, sigma, spec, cp.ppt_extension(2))
+        assert res.diagnostics["status"] == "Optimal"
+        want = ws.pure_mixed_closed_form(psi, sigma, spec)
+        assert res.value == pytest.approx(want, abs=1e-7)
 
     def test_degenerate_eigenbasis_warning(self):
         mixed = qs.validate_density(np.eye(2) / 2)

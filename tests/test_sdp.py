@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,6 +22,21 @@ def solve(cost, constraints, options=None):
         np.array([bv for _, bv in constraints], dtype=float),
         options,
     )
+
+
+def engine_calls(monkeypatch, run):
+    """The (args, kwargs) of every engine call that ``run()`` makes."""
+    calls = []
+    engine = sdp.solve_blocks
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return engine(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "solve_blocks", spy)
+        run()
+    return calls
 
 
 def feasibility_residual(constraints, x):
@@ -242,20 +259,14 @@ class TestCallCounts:
     SPIED = ("eigh", "eigvalsh", "cholesky")
 
     def fig2_inputs(self, monkeypatch):
-        calls = []
-        engine = sdp.solve_blocks
+        rho, sigma = cli.example_states(0.3)
+        spec = ws.CostSpec((qs.pauli("z"),), "dpt")
 
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return engine(*args, **kwargs)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(sdp, "solve_blocks", spy)
-            rho, sigma = cli.example_states(0.3)
-            spec = ws.CostSpec((qs.pauli("z"),), "dpt")
+        def run():
             for cset in (cp.GENERAL, cp.PPT):
                 ws.distance_squared(rho, sigma, spec, cset)
-        return calls
+
+        return engine_calls(monkeypatch, run)
 
     def counts(self, monkeypatch, args, kwargs, max_iters):
         counts = Counter()
@@ -289,3 +300,53 @@ class TestCallCounts:
         assert len(per_iter) == 1
         eigh, eigvalsh, _ = per_iter.pop()
         assert eigh + eigvalsh <= 5
+
+
+class TestOneCopy:
+    # The engine keeps one (m, N) copy of its constraints, N the summed
+    # squared block sizes, and frees input stacks that the caller passed
+    # without keeping a reference.
+
+    @staticmethod
+    def ext3_inputs(monkeypatch):
+        rng = np.random.default_rng(72)
+        rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
+        spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
+        ((args, kwargs),) = engine_calls(
+            monkeypatch,
+            lambda: ws.distance_squared(rho, sigma, spec, cp.ppt_extension(3)),
+        )
+        return args[:3], kwargs["dual_start"]
+
+    def test_traced_peak_is_a_few_constraint_matrices(self, monkeypatch):
+        (costs, stacks, b), start = self.ext3_inputs(monkeypatch)
+        matrix_bytes = 8 * len(b) * sum(len(c) ** 2 for c in costs)
+        tracemalloc.start()
+        try:
+            # the copies are made inside the traced window and handed over
+            # unreferenced (a call through *args or **kwargs would hold them)
+            res = solve_blocks(costs, [s.copy() for s in stacks], b, dual_start=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "Optimal"
+        assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
+
+    def test_unreferenced_stacks_freed_before_respan(self, monkeypatch):
+        (costs, stacks, b), start = self.ext3_inputs(monkeypatch)
+        refs, alive = [], []
+        svd = np.linalg.svd
+
+        def fresh_stacks():
+            out = [stk.copy() for stk in stacks]
+            refs.extend(weakref.ref(stk) for stk in out)
+            return out
+
+        def checked_svd(*args, **kw):
+            alive.append(sum(ref() is not None for ref in refs))
+            return svd(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", checked_svd)
+        res = solve_blocks(costs, fresh_stacks(), b, dual_start=start)
+        assert res.status == "Optimal"
+        assert alive == [0]
