@@ -131,13 +131,10 @@ def cmd_distance(args) -> int:
     rho = _load_density(args.rho)
     sigma = _load_density(args.sigma)
     obs = tuple(_load_observable(p) for p in args.obs)
-    try:
-        cset = cp.coupling_set(args.set)
-        spec = ws.CostSpec(obs, args.convention)
-        runner = ws.wasserstein_variance if args.max else ws.distance_squared
-        result = runner(rho, sigma, spec, cset)
-    except QotError as exc:
-        raise _CliError(str(exc)) from exc
+    cset = cp.coupling_set(args.set)
+    spec = ws.CostSpec(obs, args.convention)
+    runner = ws.wasserstein_variance if args.max else ws.distance_squared
+    result = runner(rho, sigma, spec, cset)
     _emit(_coupling_payload(result))
     return 0 if result.diagnostics.get("status") == "Optimal" else 2
 
@@ -232,10 +229,7 @@ def cmd_fig2(args) -> int:
 def cmd_table1(args) -> int:
     rho = _load_density(args.rho)
     h = _load_observable(args.obs)
-    try:
-        rows = ws.self_distance_table(rho, h)
-    except QotError as exc:
-        raise _CliError(str(exc)) from exc
+    rows = ws.self_distance_table(rho, h)
     failed = any(r["diagnostics"].get("status") != "Optimal" for r in rows)
     _emit({"rows": rows})
     return 2 if failed else 0
@@ -247,10 +241,7 @@ def cmd_check(args) -> int:
     d = int(round(np.sqrt(dd)))
     if d * d != dd:
         raise _CliError(f"{args.coupling}: dimension {dd} is not bipartite d x d")
-    try:
-        reports = ent.all_coupling_criteria(state)
-    except QotError as exc:
-        raise _CliError(str(exc)) from exc
+    reports = ent.all_coupling_criteria(state)
     _emit(
         {
             "reports": [

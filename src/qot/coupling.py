@@ -11,7 +11,8 @@ maps whose images must all be PSD:
   ppt_extension(n)  an n:1 symmetric extension with PPT across every cut
   classical_quantum block-diagonal in the eigenbasis of the first marginal
   quantum_classical mirrored on the second factor
-  product           no free variables at all
+
+The product set has a closed form (see wasserstein) and is not built here.
 
 The DPT convention fixes the first marginal to rho^T and the GMPC
 convention to rho; the second marginal is sigma in both.  "separable" is
@@ -125,19 +126,15 @@ def exactness(cset: CouplingSet, d: int):
 class CouplingProblem:
     """Constraint data for one coupling optimization.
 
-    The Hermitian variable lives on ``var_cdim`` complex dimensions;
-    ``cone_maps`` sends it (or a stack of variables) to the matrices that
-    must be PSD (the first map always reproducing the variable itself),
+    The Hermitian variable lives on ``var_cdim`` complex dimensions; each
+    of the ``cone_maps`` sends it (or a stack of variables) to a matrix
+    that must be PSD (the first map always reproducing the variable itself),
     the equality constraints read Tr(eq_rows[i] X) = eq_rhs[i] with
     ``eq_rows`` one (k, var_cdim, var_cdim) stack, and ``lift_cost`` /
     ``extract_coupling`` translate between the d^2 coupling space and the
     variable space.
     """
 
-    rho: DensityMatrix
-    sigma: DensityMatrix
-    cset: CouplingSet
-    convention: str
     var_cdim: int
     cone_maps: list
     eq_rows: np.ndarray
@@ -250,28 +247,14 @@ def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
 
 
 def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingProblem:
-    """Assemble the constraint data for a coupling optimization."""
+    """Assemble the constraint data for a coupling optimization.  The
+    product set has no free variables and is refused."""
     rho, sigma = as_density(rho), as_density(sigma)
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
     d = rho.dim
     marg1, marg2 = marginals(rho, sigma, convention)
-    common = dict(rho=rho, sigma=sigma, cset=cset, convention=convention)
     notes = []
-
-    if cset.kind == "product":
-        coupling = np.kron(marg1, marg2)
-        return CouplingProblem(
-            **common,
-            var_cdim=0,
-            cone_maps=[],
-            eq_rows=np.zeros((0, 0, 0), dtype=complex),
-            eq_rhs=np.zeros(0),
-            lift_cost=None,
-            extract_coupling=lambda _x: coupling,
-            notes=["product coupling is fully determined by the marginals"],
-        )
-
     f1 = _marginal_factor(marg1)
     if cset.kind == "symmetric_ppt":
         # Symmetry forces equal marginals and a shared compression factor;
@@ -307,11 +290,9 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             lambda e: np.kron(e, g2),
             lambda e: np.kron(g1, e),
         )
-        cones = [("state", lambda y: y)]
+        cones = [lambda y: y]
         if cset.kind == "ppt":
-            cones.append(
-                ("ppt_t1", lambda y: linalg.partial_transpose(y, 1, (r1, r2)))
-            )
+            cones.append(lambda y: linalg.partial_transpose(y, 1, (r1, r2)))
         if cset.kind in ("classical_quantum", "quantum_classical"):
             # The compression basis diagonalizes the anchor marginal, so
             # the block structure is literal in these coordinates.
@@ -337,7 +318,6 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             rhs = np.concatenate([rhs, np.zeros(len(off))])
             notes.append(f"block structure in the recorded eigenbasis ({cset.kind})")
         return CouplingProblem(
-            **common,
             var_cdim=r1 * r2,
             cone_maps=cones,
             eq_rows=rows,
@@ -358,16 +338,10 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             lambda e: vs.conj().T @ np.kron(g1, e) @ vs,
         )
         cones = [
-            ("state", lambda z: z),
-            (
-                "ppt_t1",
-                lambda z: linalg.partial_transpose(
-                    vs @ z @ vs.conj().T, 1, (r1, r2)
-                ),
-            ),
+            lambda z: z,
+            lambda z: linalg.partial_transpose(vs @ z @ vs.conj().T, 1, (r1, r2)),
         ]
         return CouplingProblem(
-            **common,
             var_cdim=ds,
             cone_maps=cones,
             eq_rows=rows,
@@ -417,16 +391,11 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             rhs.append(np.zeros(len(basis)))
         del basis
         rows, rhs = np.concatenate(rows), np.concatenate(rhs)
-        cones = [("state", lambda y: y)]
+        cones = [lambda y: y]
         for k in range(1, n + 1):
             dims_cut = (r1**k, r1 ** (n - k) * r2)
             cones.append(
-                (
-                    f"ppt_cut_{k}",
-                    lambda y, dims_cut=dims_cut: linalg.partial_transpose(
-                        y, 1, dims_cut
-                    ),
-                )
+                lambda y, dims_cut=dims_cut: linalg.partial_transpose(y, 1, dims_cut)
             )
 
         def lift_ext(c):
@@ -445,7 +414,6 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         for _ in range(n):
             witness = np.kron(m1, witness)
         return CouplingProblem(
-            **common,
             var_cdim=nc,
             cone_maps=cones,
             eq_rows=rows,
@@ -456,4 +424,4 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             notes=notes + [f"{n}:1 symmetric extension, PPT across every cut"],
         )
 
-    raise InvalidDimension(f"unknown coupling set kind {cset.kind!r}")
+    raise InvalidDimension(f"no constraint data for coupling set kind {cset.kind!r}")

@@ -1,14 +1,21 @@
 """Variance and second-moment entanglement criteria on couplings.
 
-Each criterion compares an expectation value on a bipartite state against
-its bound over separable states; crossing the bound in the criterion's
-direction certifies entanglement of the state.  The Wasserstein-based
-verdicts certify entanglement of the *optimal couplings* of a transport
-problem, never of the input states themselves: whenever the optimum over
-general couplings beats the optimum over the PPT set, every optimizer of
-the general problem is entangled (exactly so for qubit couplings, where
-PPT coincides with separability; for d >= 3 the verdict is downgraded to
-an uncertified one and a warning is emitted).
+Each criterion is a transport cost evaluated at a coupling: its left-hand
+side is a local-uncertainty sum of the second moments (or variances) of
+the two-body differences H_n^(T) x 1 - 1 x H_n of a ``CostSpec``, which is
+twice the cost Tr(rho_12 C) of that spec at the coupling rho_12 (Hofmann
+and Takeuchi, PRA 68, 032103, 2003).  Crossing the separable bound in the
+criterion's direction certifies entanglement of the coupling, and
+``threshold_verdicts`` applies the same bounds, halved, at the optimal
+couplings.
+
+The Wasserstein-based verdicts certify entanglement of the *optimal
+couplings* of a transport problem, never of the input states themselves:
+whenever the optimum over general couplings beats the optimum over the
+PPT set, every optimizer of the general problem is entangled (exactly so
+for qubit couplings, where PPT coincides with separability; for d >= 3
+the verdict is downgraded to an uncertified one and a warning is
+emitted).
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coupling as cp
-from . import metrology
 from . import wasserstein as ws
 from .errors import DimensionMismatch, ExactnessWarning
 from .qstates import angular_momentum, as_density, pauli, su_generators
@@ -46,38 +52,36 @@ def _verdict(lhs, bound, direction, tol=VIOLATION_TOL):
     return ("violated" if margin > tol else "satisfied"), float(margin)
 
 
-def _two_body_second_moment(state, a: np.ndarray) -> float:
-    return float(np.trace(state @ a @ a).real)
+def _report(criterion, lhs, bound, direction, tol=VIOLATION_TOL, **fields):
+    verdict, margin = _verdict(lhs, bound, direction, tol)
+    return CriterionReport(criterion, lhs, bound, direction, verdict, margin, **fields)
 
 
-def _two_body_variance(state, a: np.ndarray) -> float:
-    mean = np.trace(state @ a).real
-    return float(np.trace(state @ a @ a).real - mean**2)
+def _moments(state, spec: ws.CostSpec):
+    """Second moment and variance on ``state`` of the two-body differences
+    of ``spec``, each summed over the observables."""
+    second = variance = 0.0
+    for a in spec.differences():
+        moment = np.trace(state.matrix @ a @ a).real
+        second += float(moment)
+        variance += float(moment - np.trace(state.matrix @ a).real ** 2)
+    return second, variance
+
+
+def _square_side(state) -> int:
+    d = int(round(np.sqrt(state.dim)))
+    if d * d != state.dim:
+        raise DimensionMismatch(f"coupling dim {state.dim} is not a perfect square")
+    return d
 
 
 def su_criterion(coupling) -> CriterionReport:
     """Second moments of G_n^T x 1 - 1 x G_n summed over the SU(d) basis;
     a value below 4(d-1) certifies entanglement."""
     state = as_density(coupling)
-    dd = state.dim
-    d = int(round(np.sqrt(dd)))
-    if d * d != dd:
-        raise DimensionMismatch(f"coupling dim {dd} is not a perfect square")
-    eye = np.eye(d)
-    lhs = 0.0
-    for g in su_generators(d):
-        a = np.kron(g.matrix.T, eye) - np.kron(eye, g.matrix)
-        lhs += _two_body_second_moment(state.matrix, a)
-    bound = 4.0 * (d - 1)
-    verdict, margin = _verdict(lhs, bound, "below")
-    return CriterionReport(
-        criterion="su_generators_second_moment",
-        lhs=lhs,
-        bound=bound,
-        direction="below",
-        verdict=verdict,
-        margin=margin,
-    )
+    d = _square_side(state)
+    second, _ = _moments(state, ws.CostSpec(tuple(su_generators(d)), "dpt"))
+    return _report("su_generators_second_moment", second, 4.0 * (d - 1), "below")
 
 
 def angular_momentum_criterion(coupling, j: float) -> CriterionReport:
@@ -89,21 +93,8 @@ def angular_momentum_criterion(coupling, j: float) -> CriterionReport:
         raise DimensionMismatch(
             f"coupling dim {state.dim} does not match (2j+1)^2 = {d * d}"
         )
-    eye = np.eye(d)
-    lhs = 0.0
-    for op in angular_momentum(j):
-        a = np.kron(op.matrix.T, eye) - np.kron(eye, op.matrix)
-        lhs += _two_body_variance(state.matrix, a)
-    bound = 2.0 * j
-    verdict, margin = _verdict(lhs, bound, "below")
-    return CriterionReport(
-        criterion="angular_momentum_variance",
-        lhs=lhs,
-        bound=bound,
-        direction="below",
-        verdict=verdict,
-        margin=margin,
-    )
+    _, variance = _moments(state, ws.CostSpec(tuple(angular_momentum(j)), "dpt"))
+    return _report("angular_momentum_variance", variance, 2.0 * j, "below")
 
 
 def pauli_xy_bounds(coupling):
@@ -118,34 +109,16 @@ def pauli_xy_bounds(coupling):
     state = as_density(coupling)
     if state.dim != 4:
         raise DimensionMismatch("pauli_xy bounds apply to two-qubit couplings")
-    eye = np.eye(2)
-    second = 0.0
-    var_form = 0.0
-    for axis in ("x", "y"):
-        a = np.kron(pauli(axis).matrix, eye) - np.kron(eye, pauli(axis).matrix)
-        second += _two_body_second_moment(state.matrix, a)
-        var_form += _two_body_variance(state.matrix, a)
-    verdict_hi, margin_hi = _verdict(second, 6.0, "above")
-    verdict_lo, margin_lo = _verdict(second, 2.0, "below")
+    second, var_form = _moments(state, ws.CostSpec((pauli("x"), pauli("y")), "gmpc"))
     reports = [
-        CriterionReport(
-            criterion="pauli_xy_second_moment_upper",
-            lhs=second,
-            bound=6.0,
-            direction="above",
-            verdict=verdict_hi,
-            margin=margin_hi,
+        _report(
+            f"pauli_xy_second_moment_{side}",
+            second,
+            bound,
+            direction,
             extra={"variance_form": var_form},
-        ),
-        CriterionReport(
-            criterion="pauli_xy_second_moment_lower",
-            lhs=second,
-            bound=2.0,
-            direction="below",
-            verdict=verdict_lo,
-            margin=margin_lo,
-            extra={"variance_form": var_form},
-        ),
+        )
+        for side, bound, direction in (("upper", 6.0, "above"), ("lower", 2.0, "below"))
     ]
     return second, reports
 
@@ -161,21 +134,16 @@ def wasserstein_verdict(
     separable one and the verdict is not certified.
     """
     rho, sigma = as_density(rho), as_density(sigma)
-    d = rho.dim
-    if quantity == "distance":
-        general = ws.distance_squared(rho, sigma, spec, cp.GENERAL, options)
-        restricted = ws.distance_squared(rho, sigma, spec, cp.PPT, options)
-        lhs, bound = general.value, restricted.value
-        direction = "below"
-    elif quantity == "variance":
-        general = ws.wasserstein_variance(rho, sigma, spec, cp.GENERAL, options)
-        restricted = ws.wasserstein_variance(rho, sigma, spec, cp.PPT, options)
-        lhs, bound = general.value, restricted.value
-        direction = "above"
-    else:
+    rows = {
+        "distance": (ws.distance_squared, "below"),
+        "variance": (ws.wasserstein_variance, "above"),
+    }
+    if quantity not in rows:
         raise DimensionMismatch(f"unknown quantity {quantity!r}")
-    verdict, margin = _verdict(lhs, bound, direction, tol=VERDICT_TOL)
-    certified = d == 2
+    solver, direction = rows[quantity]
+    general = solver(rho, sigma, spec, cp.GENERAL, options)
+    restricted = solver(rho, sigma, spec, cp.PPT, options)
+    certified = rho.dim == 2
     note = "all optimal couplings of the general problem are entangled"
     if not certified:
         warnings.warn(
@@ -184,20 +152,18 @@ def wasserstein_verdict(
             ExactnessWarning,
         )
         note = "entanglement of optimizers not certified (PPT relaxation)"
-    return CriterionReport(
-        criterion=f"wasserstein_{quantity}_general_vs_ppt",
-        lhs=lhs,
-        bound=bound,
-        direction=direction,
-        verdict=verdict,
-        margin=margin,
+    report = _report(
+        f"wasserstein_{quantity}_general_vs_ppt",
+        general.value,
+        restricted.value,
+        direction,
+        VERDICT_TOL,
         certified=certified,
-        note=note if verdict == "violated" else "",
-        extra={
-            "general": general.diagnostics,
-            "ppt": restricted.diagnostics,
-        },
+        extra={"general": general.diagnostics, "ppt": restricted.diagnostics},
     )
+    if report.verdict == "violated":
+        report.note = note
+    return report
 
 
 def threshold_verdicts(rho, sigma, options=None) -> list:
@@ -210,73 +176,31 @@ def threshold_verdicts(rho, sigma, options=None) -> list:
     """
     rho, sigma = as_density(rho), as_density(sigma)
     d = rho.dim
-    reports = []
-
-    spec = ws.CostSpec(tuple(su_generators(d)), "dpt")
-    val = ws.distance_squared(rho, sigma, spec, cp.GENERAL, options).value
-    verdict, margin = _verdict(val, 2.0 * (d - 1), "below", tol=VERDICT_TOL)
-    reports.append(
-        CriterionReport(
-            criterion="distance_su_generators_threshold",
-            lhs=val,
-            bound=2.0 * (d - 1),
-            direction="below",
-            verdict=verdict,
-            margin=margin,
-        )
-    )
-
     j = (d - 1) / 2.0
-    spec = ws.CostSpec(tuple(angular_momentum(j)), "dpt")
-    val = ws.distance_squared(rho, sigma, spec, cp.GENERAL, options).value
-    verdict, margin = _verdict(val, j, "below", tol=VERDICT_TOL)
-    reports.append(
-        CriterionReport(
-            criterion="distance_angular_momentum_threshold",
-            lhs=val,
-            bound=j,
-            direction="below",
-            verdict=verdict,
-            margin=margin,
-        )
-    )
-
+    dist, var = ws.distance_squared, ws.wasserstein_variance
+    su = ws.CostSpec(tuple(su_generators(d)), "dpt")
+    am = ws.CostSpec(tuple(angular_momentum(j)), "dpt")
+    rows = [
+        ("distance_su_generators_threshold", dist, su, 2.0 * (d - 1), "below"),
+        ("distance_angular_momentum_threshold", dist, am, j, "below"),
+    ]
     if d == 2:
-        spec = ws.CostSpec((pauli("x"), pauli("y")), "gmpc")
-        val = ws.wasserstein_variance(rho, sigma, spec, cp.GENERAL, options).value
-        verdict, margin = _verdict(val, 3.0, "above", tol=VERDICT_TOL)
-        reports.append(
-            CriterionReport(
-                criterion="variance_pauli_xy_threshold",
-                lhs=val,
-                bound=3.0,
-                direction="above",
-                verdict=verdict,
-                margin=margin,
-            )
-        )
-        val = ws.distance_squared(rho, sigma, spec, cp.GENERAL, options).value
-        verdict, margin = _verdict(val, 1.0, "below", tol=VERDICT_TOL)
-        reports.append(
-            CriterionReport(
-                criterion="distance_pauli_xy_threshold",
-                lhs=val,
-                bound=1.0,
-                direction="below",
-                verdict=verdict,
-                margin=margin,
-            )
-        )
+        xy = ws.CostSpec((pauli("x"), pauli("y")), "gmpc")
+        rows += [
+            ("variance_pauli_xy_threshold", var, xy, 3.0, "above"),
+            ("distance_pauli_xy_threshold", dist, xy, 1.0, "below"),
+        ]
+    reports = []
+    for name, solver, spec, bound, direction in rows:
+        value = solver(rho, sigma, spec, cp.GENERAL, options).value
+        reports.append(_report(name, value, bound, direction, VERDICT_TOL))
     return reports
 
 
 def all_coupling_criteria(coupling) -> list:
     """Every state-level criterion applicable to the given coupling."""
     state = as_density(coupling)
-    dd = state.dim
-    d = int(round(np.sqrt(dd)))
-    if d * d != dd:
-        raise DimensionMismatch(f"coupling dim {dd} is not a perfect square")
+    d = _square_side(state)
     reports = [su_criterion(state)]
     reports.append(angular_momentum_criterion(state, (d - 1) / 2.0))
     if d == 2:

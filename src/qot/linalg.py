@@ -29,7 +29,6 @@ class Tolerances:
 
     hermiticity: float = 1e-10
     psd_floor: float = -1e-8
-    equality: float = 1e-8
 
 
 TOL = Tolerances()

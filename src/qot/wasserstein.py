@@ -53,14 +53,21 @@ class CostSpec:
     def dim(self) -> int:
         return self.observables[0].dim
 
+    def differences(self) -> list:
+        """The two-body differences H_n^(T) x 1 - 1 x H_n, one per
+        observable, with the transpose under the DPT convention only."""
+        eye = np.eye(self.dim)
+        return [
+            np.kron(h.matrix.T if self.convention == "dpt" else h.matrix, eye)
+            - np.kron(eye, h.matrix)
+            for h in self.observables
+        ]
+
     def cost_operator(self) -> np.ndarray:
         """(1/2) sum_n (H_n^(T) x 1 - 1 x H_n)^2 on the coupling space."""
         d = self.dim
-        eye = np.eye(d)
         total = np.zeros((d * d, d * d), dtype=complex)
-        for h in self.observables:
-            left = h.matrix.T if self.convention == "dpt" else h.matrix
-            a = np.kron(left, eye) - np.kron(eye, h.matrix)
+        for a in self.differences():
             total += a @ a
         return total / 2.0
 
@@ -97,7 +104,7 @@ def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray) -> list:
     """The negated null-space directions through every cone map, as one
     realified (k, n_b, n_b) stack per cone."""
     directions = linalg.vec_to_herm(null, problem.var_cdim)
-    return [linalg.realify(-apply(directions)) for _, apply in problem.cone_maps]
+    return [linalg.realify(-apply(directions)) for apply in problem.cone_maps]
 
 
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
@@ -111,13 +118,15 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     x0_vec = vt[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
     if np.linalg.norm(rows @ x0_vec - bvec) > 1e-9 * (1.0 + np.linalg.norm(bvec)):
         raise MarginalMismatch("marginal constraint system is inconsistent")
-    null = vt[rank:]
+    # A copy, so that the SVD factors are freed before the engine runs.
+    null = vt[rank:].copy()
+    del rows, u, s, vt
     x0 = linalg.vec_to_herm(x0_vec, n)
     if null.shape[0] == 0:
         return x0, None
     c_vec = linalg.herm_to_vec(c_var)
     b_hat = -(null @ c_vec)
-    cost_blocks = [linalg.realify(apply(x0)) for _, apply in problem.cone_maps]
+    cost_blocks = [linalg.realify(apply(x0)) for apply in problem.cone_maps]
     # An interior witness gives a dual-feasible start: the slack at
     # y = (witness coordinates) is the witness itself, mapped through the
     # cones, which is strictly PD.
@@ -175,7 +184,7 @@ def _optimize(rho, sigma, spec: CostSpec, cset: cp.CouplingSet, sense, options):
         # every cone.
         cone_floor = min(
             float(np.linalg.eigvalsh(apply(x_var))[0])
-            for _, apply in problem.cone_maps
+            for apply in problem.cone_maps
         )
         status = "Optimal" if cone_floor >= linalg.TOL.psd_floor else "Infeasible"
     else:

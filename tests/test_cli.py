@@ -30,15 +30,6 @@ def write_operator(path, matrix, dims):
 
 
 @pytest.fixture
-def files(tmp_path):
-    return {
-        "mixed": write_operator(tmp_path, np.eye(2) / 2, [2]),
-        "sz": write_operator(tmp_path / "sz.json", np.diag([1.0, -1.0]), [2]),
-        "tmp": tmp_path,
-    }
-
-
-@pytest.fixture
 def mixed_file(tmp_path):
     return write_operator(tmp_path / "mixed.json", np.eye(2) / 2, [2])
 

@@ -20,7 +20,7 @@ def eq_residual(problem, x):
 
 def cone_floor(problem, x):
     return min(
-        np.linalg.eigvalsh(apply(x))[0] for _, apply in problem.cone_maps
+        np.linalg.eigvalsh(apply(x))[0] for apply in problem.cone_maps
     )
 
 
@@ -78,6 +78,13 @@ class TestBuild:
             linalg.partial_trace(coupling, 2, (2, 2)), rho.matrix.T
         )
         assert np.allclose(linalg.partial_trace(coupling, 1, (2, 2)), sigma.matrix)
+
+    def test_product_set_refused(self):
+        # the product coupling has a closed form and no constraint data
+        rng = np.random.default_rng(60)
+        rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
+        with pytest.raises(InvalidDimension):
+            cp.build(rho, sigma, cp.PRODUCT)
 
     def test_symmetric_requires_equal_marginals(self):
         rng = np.random.default_rng(63)

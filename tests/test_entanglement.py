@@ -126,6 +126,33 @@ class TestSoundness:
                 assert loose == "satisfied"
 
 
+class TestCriteriaAsCosts:
+    # Each criterion sums second moments of the two-body differences of a
+    # cost spec, which is twice that spec's transport cost at the coupling.
+    def test_cost_operator_sums_differences(self):
+        rng = np.random.default_rng(117)
+        for d in (2, 3):
+            obs = (qs.random_hermitian(d, rng), qs.random_hermitian(d, rng))
+            for convention in ("dpt", "gmpc"):
+                spec = ws.CostSpec(obs, convention)
+                want = sum(a @ a for a in spec.differences()) / 2
+                assert np.array_equal(spec.cost_operator(), want)
+
+    def test_second_moments_are_twice_the_cost(self):
+        rng = np.random.default_rng(118)
+        xy = ws.CostSpec((qs.pauli("x"), qs.pauli("y")), "gmpc")
+        for _ in range(10):
+            for d in (2, 3):
+                rho = qs.random_density(d * d, rng).matrix
+                su = ws.CostSpec(tuple(qs.su_generators(d)), "dpt")
+                cost = np.trace(rho @ su.cost_operator()).real
+                assert ent.su_criterion(rho).lhs == pytest.approx(2 * cost, abs=1e-12)
+            rho = qs.random_density(4, rng).matrix
+            cost = np.trace(rho @ xy.cost_operator()).real
+            second, _ = ent.pauli_xy_bounds(rho)
+            assert second == pytest.approx(2 * cost, abs=1e-12)
+
+
 class TestWassersteinVerdicts:
     def example4_pair(self, phi):
         x1 = qs.xbasis_state(1)

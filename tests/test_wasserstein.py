@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -438,3 +439,30 @@ class TestEngineInput:
             gram = rows @ rows.T
             want = 2.0 * len(stacks) * np.eye(len(rows))
             assert np.max(np.abs(gram - want)) <= 1e-12
+
+    def test_elimination_freed_before_engine(self, monkeypatch):
+        # Only the null-space basis and the particular solution outlive the
+        # constraint elimination: its SVD input and factors are dead by the
+        # time the engine is entered.
+        refs, alive = [], []
+        svd, engine = np.linalg.svd, sdp.solve_blocks
+
+        def recorded_svd(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            if not alive:  # the elimination's call, not the engine's
+                refs.extend(weakref.ref(x) for x in (a, *out))
+            return out
+
+        def checked_engine(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        monkeypatch.setattr(sdp, "solve_blocks", checked_engine)
+        rng = np.random.default_rng(67)
+        rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
+        spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
+        res = ws.distance_squared(rho, sigma, spec, cp.ppt_extension(2))
+        assert res.diagnostics["status"] == "Optimal"
+        assert len(refs) == 4
+        assert alive == [0]
