@@ -130,14 +130,15 @@ class CouplingProblem:
     of the ``cone_maps`` sends it (or a stack of variables) to a matrix
     that must be PSD (the first map always reproducing the variable itself),
     the equality constraints read Tr(eq_rows[i] X) = eq_rhs[i] with
-    ``eq_rows`` one (k, var_cdim, var_cdim) stack, and ``lift_cost`` /
+    ``eq_rows`` one (k, var_cdim, var_cdim) stack (set to None by the
+    solve, which takes its real coordinates), and ``lift_cost`` /
     ``extract_coupling`` translate between the d^2 coupling space and the
     variable space.
     """
 
     var_cdim: int
     cone_maps: list
-    eq_rows: np.ndarray
+    eq_rows: np.ndarray | None
     eq_rhs: np.ndarray
     lift_cost: object
     extract_coupling: object
@@ -166,9 +167,10 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     marginal ranks r1 and r2.
 
     Counted: the Hermitian basis of the variable and its n - 1 stacks of
-    swap rows; the stack of all equality rows and its real coordinates,
-    with the full SVD of those (input copy, U, V^T and workspace); and the
-    engine's constraint data.  That is four copies of the realified free
+    swap rows; the stack of all equality rows (r1^2 + r2^2 marginal rows
+    and (n - 1) var swap rows) and its real coordinates, with the full SVD
+    of those (input copy, U, V^T and workspace); and the engine's
+    constraint data.  That is four copies of the realified free
     directions, one (2 nc)^2 block per cone: the caller's stacks (freed
     before the engine's SVD unless another reference holds them), the
     engine's flat copy, and the SVD's input copy and V^T; plus U and the
@@ -176,7 +178,7 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     """
     nc = r1**n * r2
     var = nc * nc  # real dimension of the variable
-    n_rows = 1 + r1 * r1 + r2 * r2 + (n - 1) * var
+    n_rows = r1 * r1 + r2 * r2 + (n - 1) * var
     # Free directions: permutation-invariant Hermitian operators, i.e.
     # r2^2 times the symmetric n-th power of the r1^2 operator space,
     # less the independent marginal rows.
@@ -307,13 +309,10 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             block = (lambda p: p // r2) if on_first else (lambda p: p % r2)
             dd = r1 * r2
             p, q = np.triu_indices(dd, k=1)
-            cross = block(p) != block(q)
-            p, q = p[cross], q[cross]
-            # Re and Im of every entry coupling two blocks, interleaved.
-            off = np.zeros((2 * len(p), dd, dd), dtype=complex)
-            re, im = np.arange(0, len(off), 2), np.arange(1, len(off), 2)
-            off[re, p, q] = off[re, q, p] = 1.0
-            off[im, p, q], off[im, q, p] = 1j, -1j
+            cross = np.flatnonzero(block(p) != block(q))
+            # The Re and Im basis elements of every entry coupling two
+            # blocks (herm_to_vec order: diagonal, Re upper, Im upper).
+            off = _herm_basis(dd)[dd + np.concatenate([cross, len(p) + cross])]
             rows = np.concatenate([rows, off])
             rhs = np.concatenate([rhs, np.zeros(len(off))])
             notes.append(f"block structure in the recorded eigenbasis ({cset.kind})")
@@ -373,13 +372,13 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         iso = np.kron(v1, v2)
         rest = r1 ** (n - 1)
         nc = r1**n * r2
-        b1, b2 = _herm_basis(r1), _herm_basis(r2)
-        rows = [
-            np.eye(nc, dtype=complex)[None],
-            np.kron(b1, np.eye(rest * r2)),
-            np.kron(np.eye(r1**n), b2),
-        ]
-        rhs = [[1.0], linalg.frob_inner(b1, mc1), linalg.frob_inner(b2, mc2)]
+        rows, rhs = _marginal_rows(
+            mc1,
+            mc2,
+            lambda e: np.kron(e, np.eye(rest * r2)),
+            lambda e: np.kron(np.eye(r1**n), e),
+        )
+        rows = [rows]
         # Permutation symmetry of the A copies via adjacent transpositions.
         f = flip_operator(r1).matrix
         basis = _herm_basis(nc)
@@ -388,9 +387,9 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
                 np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2)
             )
             rows.append(swap @ basis @ swap - basis)
-            rhs.append(np.zeros(len(basis)))
         del basis
-        rows, rhs = np.concatenate(rows), np.concatenate(rhs)
+        rows = np.concatenate(rows)
+        rhs = np.concatenate([rhs, np.zeros(len(rows) - len(rhs))])
         cones = [lambda y: y]
         for k in range(1, n + 1):
             dims_cut = (r1**k, r1 ** (n - k) * r2)
@@ -410,9 +409,9 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             reduced = linalg.partial_trace(per, 2, (r1 * r2, rest))
             return iso @ reduced @ iso.conj().T
 
-        witness = m2
+        witness = mc2
         for _ in range(n):
-            witness = np.kron(m1, witness)
+            witness = np.kron(mc1, witness)
         return CouplingProblem(
             var_cdim=nc,
             cone_maps=cones,

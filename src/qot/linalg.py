@@ -25,7 +25,8 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Single knob for every numerical acceptance threshold."""
+    """The Hermiticity and PSD-floor thresholds shared by state validation
+    and the solve's cone check; other thresholds sit with their code."""
 
     hermiticity: float = 1e-10
     psd_floor: float = -1e-8

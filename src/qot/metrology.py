@@ -148,24 +148,19 @@ def _masks(lam: np.ndarray):
     return support, degenerate
 
 
+def _means(lam: np.ndarray, f: MonotoneFunction) -> np.ndarray:
+    """m_f(l_k, l_l) for every eigenvalue pair, as a d x d matrix."""
+    return np.array([[f.mean(a, b) for b in lam] for a in lam])
+
+
 def gen_qfi(rho, h, f: MonotoneFunction) -> float:
     """Generalized quantum Fisher information for a regular f."""
     f.require_regular()
     ctx = SpectralContext.build(rho, h)
     lam = ctx.eigenvalues
     support, _ = _masks(lam)
-    total = 0.0
-    for k in range(len(lam)):
-        for l in range(len(lam)):
-            if not support[k, l]:
-                continue
-            mf = f.mean(lam[k], lam[l])
-            if mf <= 0.0:
-                continue
-            total += (
-                f.f_zero / mf * (lam[k] - lam[l]) ** 2 * abs(ctx.h_eig[k, l]) ** 2
-            )
-    return 2.0 * total
+    terms = _x_kernel(lam, f) ** 2 * np.subtract.outer(lam, lam) ** 2
+    return float(2.0 * np.sum(terms[support] * np.abs(ctx.h_eig[support]) ** 2))
 
 
 def gen_variance(rho, h, f: MonotoneFunction) -> float:
@@ -175,22 +170,16 @@ def gen_variance(rho, h, f: MonotoneFunction) -> float:
     ctx = SpectralContext.build(rho, h)
     lam = ctx.eigenvalues
     mean = float(np.sum(lam * np.diag(ctx.h_eig).real))
-    total = 0.0
-    for k in range(len(lam)):
-        for l in range(len(lam)):
-            total += f.mean(lam[k], lam[l]) * abs(ctx.h_eig[k, l]) ** 2
+    total = float(np.sum(_means(lam, f) * np.abs(ctx.h_eig) ** 2))
     return total / (2.0 * f.f_zero) - mean**2 / (2.0 * f.f_zero)
 
 
 def _x_kernel(lam: np.ndarray, f: MonotoneFunction) -> np.ndarray:
     """(X_f)_{kl} = sqrt(m_f(1,0) / m_f(l_k, l_l)) on the support."""
-    d = len(lam)
-    x = np.zeros((d, d))
-    for k in range(d):
-        for l in range(d):
-            mf = f.mean(lam[k], lam[l])
-            if mf > 0.0:
-                x[k, l] = np.sqrt(f.f_zero / mf)
+    mf = _means(lam, f)
+    x = np.zeros_like(mf)
+    pos = mf > 0.0
+    x[pos] = np.sqrt(f.f_zero / mf[pos])
     return x
 
 

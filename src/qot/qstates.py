@@ -194,12 +194,6 @@ def flip_operator(d: int) -> HermitianOperator:
     return HermitianOperator(f, (d, d))
 
 
-def symmetric_projector(d: int) -> HermitianOperator:
-    """Projector (1 + F)/2 onto the symmetric subspace."""
-    f = flip_operator(d).matrix
-    return HermitianOperator((np.eye(d * d) + f) / 2, (d, d))
-
-
 def symmetric_isometry(d: int) -> np.ndarray:
     """Isometry whose columns span the symmetric subspace: |ii> and
     (|ij> + |ji>)/sqrt(2) for i < j."""

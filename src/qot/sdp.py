@@ -24,7 +24,7 @@ factorisation of the new X and S succeeds.
 
 Complex Hermitian data enters exclusively through ``linalg.realify`` and
 is never tied to its doubling symmetry by extra constraints.  Cost,
-constraints and the identity start all commute with the symplectic
+constraints and the start all commute with the symplectic
 involution, so in exact arithmetic the iterates do too.  In floating
 point they need not: inside a degenerate optimal face the iterate can
 drift away from the symmetric subspace (by about 1e-4 on a 3x3 complex
@@ -35,11 +35,16 @@ Constraints are re-spanned by an orthonormal independent set from an SVD,
 and an inconsistent system is reported as Infeasible outright.  The engine
 holds one copy of them: the symmetrised input is written into the flat
 layout once (input stacks with no other reference are freed then), and
-the re-spanned rows, symmetrised in place, replace it once the dual start
-is re-expressed.  A(.) and A*(.) use np.einsum, which the benchmark's smoke
-test requires; it matches a matrix product at extension sizes and costs
-about 1 us more per call at fig2 sizes.  The duality gap is certified as
-an absolute width, ``gap_tol``, whatever the scale of the objective.
+the re-spanned rows, symmetrised in place, replace it.  A(.) and A*(.)
+use np.einsum, which the benchmark's smoke test requires; it matches a
+matrix product at extension sizes and costs about 1 us more per call at
+fig2 sizes.  The duality gap is certified as an absolute width,
+``gap_tol``, whatever the scale of the objective.
+
+Every solve starts at y = 0 and X = I (scaled by a trace constraint if
+there is one).  S starts at C when C is safely positive definite, which
+makes the start dual feasible; coupling solves pass a strictly feasible
+coupling, mapped through the cones, as C.  Otherwise S starts at I.
 
 At a degenerate optimum (strict complementarity lost, as where two
 coupling sets give the same value) the Mehrotra step can collapse: both
@@ -119,7 +124,6 @@ def solve_blocks(
     constraint_blocks,
     b,
     options: SolveOptions | None = None,
-    dual_start=None,
 ) -> BlockSolution:
     """Block-diagonal standard-form engine.
 
@@ -127,11 +131,10 @@ def solve_blocks(
     holds one (m, n_b, n_b) stack per block, entry p of every stack being
     the block of constraint p; ``b`` the m right-hand sides.
 
-    ``dual_start`` is an optional multiplier vector (in the original
-    constraint indexing) whose slack C - A*(y) is strictly positive
-    definite; starting there keeps the dual residual at roundoff for the
-    whole run, so the duality gap reduces to pure complementarity.  An
-    unusable start falls back to the cold one.
+    The dual start is y = 0.  Its slack is C itself when C is safely
+    positive definite; the dual residual then stays at roundoff for the
+    whole run, so the duality gap reduces to pure complementarity.
+    Otherwise the slack starts at the identity.
     """
     opts = options or SolveOptions()
     sizes = [np.shape(c)[0] for c in cost_blocks]
@@ -188,9 +191,6 @@ def solve_blocks(
     m = rows.shape[0]
     if m == 0:
         raise ValueError("constraint system is empty after reduction")
-    if dual_start is not None:
-        # re-express the start in the re-spanned constraint coordinates
-        y0 = rows @ (a.T @ np.asarray(dual_start, dtype=float))
     a = rows
     for ib in range(len(sizes)):
         blk = cols(a, ib)
@@ -212,12 +212,10 @@ def solve_blocks(
     s = flat([np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()])
     x = xi * s
     y = np.zeros(m)
-    if dual_start is not None:
-        s0 = c - a_adjoint(y0)
-        floor = min(np.linalg.eigvalsh(sg)[:, 0].min() for sg in views(s0))
-        scale = max(np.linalg.norm(sg, axis=(1, 2)).max() for sg in views(s0))
-        if floor > 1e-8 * (1.0 + scale):
-            y, s = y0, flat([_sym(sg) for sg in views(s0)])
+    floor = min(np.linalg.eigvalsh(cg)[:, 0].min() for cg in views(c))
+    scale = max(np.linalg.norm(cg, axis=(1, 2)).max() for cg in views(c))
+    if floor > 1e-8 * (1.0 + scale):
+        s = c.copy()
 
     norm_b, norm_c = np.linalg.norm(b_red), np.linalg.norm(c)
     history: list = []

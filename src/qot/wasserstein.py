@@ -109,13 +109,22 @@ def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray) -> list:
 
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     """Minimize <c_var, X> over the coupling problem via the null-space
-    dual embedding; returns (X_var, engine result)."""
+    dual embedding; returns (X_var, engine result).
+
+    ``problem.eq_rows`` is released once its real coordinates are taken."""
     n = problem.var_cdim
     rows = linalg.herm_to_vec(problem.eq_rows)
+    problem.eq_rows = None
     bvec = np.asarray(problem.eq_rhs, dtype=float)
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.sum(s > 1e-12 * s[0]))
-    x0_vec = vt[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
+    # The particular solution is the strictly feasible witness where the
+    # set has one, so that the engine's cost, the witness mapped through
+    # the cones, is a PD slack at y = 0.  Otherwise it is least squares.
+    if problem.feasible_witness is None:
+        x0_vec = vt[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
+    else:
+        x0_vec = linalg.herm_to_vec(problem.feasible_witness)
     if np.linalg.norm(rows @ x0_vec - bvec) > 1e-9 * (1.0 + np.linalg.norm(bvec)):
         raise MarginalMismatch("marginal constraint system is inconsistent")
     # A copy, so that the SVD factors are freed before the engine runs.
@@ -127,19 +136,9 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     c_vec = linalg.herm_to_vec(c_var)
     b_hat = -(null @ c_vec)
     cost_blocks = [linalg.realify(apply(x0)) for apply in problem.cone_maps]
-    # An interior witness gives a dual-feasible start: the slack at
-    # y = (witness coordinates) is the witness itself, mapped through the
-    # cones, which is strictly PD.
-    dual_start = None
-    if problem.feasible_witness is not None:
-        dual_start = null @ (
-            linalg.herm_to_vec(problem.feasible_witness) - x0_vec
-        )
     # The constraint stacks go to the engine with no reference kept here,
     # so it can free them once it holds its own copy.
-    res = sdp.solve_blocks(
-        cost_blocks, _cone_stacks(problem, null), b_hat, options, dual_start=dual_start
-    )
+    res = sdp.solve_blocks(cost_blocks, _cone_stacks(problem, null), b_hat, options)
     # The original optimizer is the slack of the reduced problem; project
     # it back onto the constraint subspace to null out dual residual.
     x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0]))

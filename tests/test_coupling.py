@@ -59,14 +59,20 @@ class TestExactness:
 class TestBuild:
     def test_product_witness_feasible(self):
         rng = np.random.default_rng(61)
-        rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
-        for cset in (cp.GENERAL, cp.PPT, cp.ppt_extension(2), cp.CLASSICAL_QUANTUM):
-            for conv in ("dpt", "gmpc"):
-                problem = cp.build(rho, sigma, cset, conv)
-                w = problem.feasible_witness
-                assert w is not None
-                assert eq_residual(problem, w) < 1e-10, (cset, conv)
-                assert cone_floor(problem, w) > -1e-12, (cset, conv)
+        pairs = [
+            (qs.random_density(2, rng), qs.random_density(2, rng)),
+            # the first marginal is whitened
+            (np.diag([0.995, 0.005]), np.diag([0.6, 0.4])),
+        ]
+        csets = (cp.GENERAL, cp.PPT, cp.ppt_extension(2), cp.CLASSICAL_QUANTUM)
+        for rho, sigma in pairs:
+            for cset in csets:
+                for conv in ("dpt", "gmpc"):
+                    problem = cp.build(rho, sigma, cset, conv)
+                    w = problem.feasible_witness
+                    assert w is not None
+                    assert eq_residual(problem, w) < 1e-10, (cset, conv)
+                    assert cone_floor(problem, w) > -1e-12, (cset, conv)
 
     def test_dpt_marginal_is_transpose(self):
         rng = np.random.default_rng(62)

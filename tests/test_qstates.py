@@ -119,12 +119,6 @@ class TestStates:
             b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             assert np.allclose(fd @ np.kron(a, b), np.kron(b, a))
 
-    def test_symmetric_projector(self):
-        for d in (2, 3):
-            ps = qs.symmetric_projector(d).matrix
-            assert np.allclose(ps @ ps, ps)
-            assert np.isclose(np.trace(ps).real, d * (d + 1) / 2)
-
     def test_symmetric_isometry(self):
         for d in (2, 3):
             v = qs.symmetric_isometry(d)

@@ -162,13 +162,17 @@ class TestDegenerateAndInfeasible:
 
     def test_collapsed_steps_report_stalled(self):
         # a step fraction this small caps both the Mehrotra and the centring
-        # step below the collapse threshold: the engine stops at once and
-        # says so, rather than claiming the iteration cap
-        s = solve(
-            np.diag([1.0, 2.0]), [(np.eye(2), 1.0)], SolveOptions(step_fraction=1e-9)
-        )
+        # step below the collapse threshold: from the cold start (a cost
+        # that is not PD) the engine stops at once and says so, rather than
+        # claiming the iteration cap
+        opts = SolveOptions(step_fraction=1e-9)
+        s = solve(np.diag([1.0, 2.0]) - 3.0 * np.eye(2), [(np.eye(2), 1.0)], opts)
         assert s.status == "Stalled"
         assert s.iterations == 1
+        # a PD cost is a dual-feasible start; the capped steps still never
+        # certify it
+        s = solve(np.diag([1.0, 2.0]), [(np.eye(2), 1.0)], opts)
+        assert s.status != "Optimal"
 
 
 class TestRealifiedStructure:
@@ -312,20 +316,20 @@ class TestOneCopy:
         rng = np.random.default_rng(72)
         rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
         spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
-        ((args, kwargs),) = engine_calls(
+        ((args, _),) = engine_calls(
             monkeypatch,
             lambda: ws.distance_squared(rho, sigma, spec, cp.ppt_extension(3)),
         )
-        return args[:3], kwargs["dual_start"]
+        return args[:3]
 
     def test_traced_peak_is_a_few_constraint_matrices(self, monkeypatch):
-        (costs, stacks, b), start = self.ext3_inputs(monkeypatch)
+        costs, stacks, b = self.ext3_inputs(monkeypatch)
         matrix_bytes = 8 * len(b) * sum(len(c) ** 2 for c in costs)
         tracemalloc.start()
         try:
             # the copies are made inside the traced window and handed over
             # unreferenced (a call through *args or **kwargs would hold them)
-            res = solve_blocks(costs, [s.copy() for s in stacks], b, dual_start=start)
+            res = solve_blocks(costs, [s.copy() for s in stacks], b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,7 +337,7 @@ class TestOneCopy:
         assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
 
     def test_unreferenced_stacks_freed_before_respan(self, monkeypatch):
-        (costs, stacks, b), start = self.ext3_inputs(monkeypatch)
+        costs, stacks, b = self.ext3_inputs(monkeypatch)
         refs, alive = [], []
         svd = np.linalg.svd
 
@@ -347,6 +351,6 @@ class TestOneCopy:
             return svd(*args, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", checked_svd)
-        res = solve_blocks(costs, fresh_stacks(), b, dual_start=start)
+        res = solve_blocks(costs, fresh_stacks(), b)
         assert res.status == "Optimal"
         assert alive == [0]

@@ -442,10 +442,15 @@ class TestEngineInput:
 
     def test_elimination_freed_before_engine(self, monkeypatch):
         # Only the null-space basis and the particular solution outlive the
-        # constraint elimination: its SVD input and factors are dead by the
-        # time the engine is entered.
+        # constraint elimination: the problem's complex rows, the SVD input
+        # and its factors are dead by the time the engine is entered.
         refs, alive = [], []
-        svd, engine = np.linalg.svd, sdp.solve_blocks
+        svd, engine, build = np.linalg.svd, sdp.solve_blocks, cp.build
+
+        def recorded_build(*args, **kwargs):
+            problem = build(*args, **kwargs)
+            refs.append(weakref.ref(problem.eq_rows))
+            return problem
 
         def recorded_svd(a, *args, **kwargs):
             out = svd(a, *args, **kwargs)
@@ -457,6 +462,7 @@ class TestEngineInput:
             alive.append(sum(ref() is not None for ref in refs))
             return engine(*args, **kwargs)
 
+        monkeypatch.setattr(cp, "build", recorded_build)
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         monkeypatch.setattr(sdp, "solve_blocks", checked_engine)
         rng = np.random.default_rng(67)
@@ -464,5 +470,5 @@ class TestEngineInput:
         spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
         res = ws.distance_squared(rho, sigma, spec, cp.ppt_extension(2))
         assert res.diagnostics["status"] == "Optimal"
-        assert len(refs) == 4
+        assert len(refs) == 5
         assert alive == [0]
