@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except QotError as exc:
+    except (_CliError, QotError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

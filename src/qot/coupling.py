@@ -1,17 +1,22 @@
 """Feasible sets of bipartite couplings as SDP constraint data.
 
 A coupling is a bipartite state whose marginals are the two states being
-compared.  Each variant of the feasible set is described by a Hermitian
-variable space, linear equality constraints on it, and a list of cone
-maps whose images must all be PSD:
+compared.  Every set is built by one construction, as in the PPT
+symmetric-extension hierarchy of Doherty, Parrilo and Spedalieri: a
+Hermitian variable on n copies of the first support and one of the
+second, the marginal constraints, and a list of cone maps whose images
+must all be PSD.  The sets differ only in four parameters:
 
-  general           the full state set, cone = identity
-  ppt               adds the partial transpose as a second cone
-  symmetric_ppt     variable compressed to the symmetric subspace, plus PPT
-  ppt_extension(n)  an n:1 symmetric extension with PPT across every cut
-  classical_quantum block-diagonal in the eigenbasis of the first marginal
-  quantum_classical mirrored on the second factor
+  n            the number of first-support copies: n for ppt_extension(n),
+               1 otherwise
+  compression  the symmetric-subspace isometry for symmetric_ppt, else none
+  PPT cuts     a partial transpose after each of the first k copies,
+               k = 1..n, for ppt, symmetric_ppt and ppt_extension(n)
+  zero rows    swap symmetry of the copies when n > 1; the entries between
+               eigenvectors of the first marginal for classical_quantum,
+               and of the second for quantum_classical
 
+So general is the n = 1 member without a cut and ppt the one with it.
 The product set has a closed form (see wasserstein) and is not built here.
 
 The DPT convention fixes the first marginal to rho^T and the GMPC
@@ -22,11 +27,11 @@ PPT actually coincides with separability at the given dimension.
 Problems are posed in compressed coordinates X = (T_1 x T_2) Y (T_1 x
 T_2)^dag, which is exact: couplings are automatically supported on
 supp(marg1) x supp(marg2), and partial transposes conjugate covariantly.
-Well-conditioned marginals use the support isometry for T; marginals
-with tiny eigenvalues are whitened (T absorbs the eigenvalue square
-roots), which makes the product coupling the identity matrix and keeps
-the feasible region's interior O(1) wide even when a marginal is nearly
-singular or outright rank-deficient.
+Well-conditioned marginals use the support isometry for T.  For n = 1,
+marginals with tiny eigenvalues are whitened (T absorbs the eigenvalue
+square roots), which makes the product coupling the identity matrix and
+keeps the feasible region's interior O(1) wide even when a marginal is
+nearly singular or outright rank-deficient.
 """
 
 from __future__ import annotations
@@ -192,15 +197,6 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     return basis_and_swaps + eq_rows + svd + engine
 
 
-def permute_systems(m: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder tensor factors of an operator."""
-    k = len(dims)
-    t = m.reshape(*dims, *dims)
-    axes = list(perm) + [k + p for p in perm]
-    n = int(np.prod(dims))
-    return t.transpose(axes).reshape(n, n)
-
-
 WHITEN_THRESHOLD = 1e-2
 
 
@@ -221,23 +217,22 @@ class _MarginalFactor:
     g: np.ndarray
     m: np.ndarray
     lam: np.ndarray
-    isometry: np.ndarray
 
     @property
     def rank(self) -> int:
         return len(self.lam)
 
 
-def _marginal_factor(mat: np.ndarray) -> _MarginalFactor:
+def _marginal_factor(mat: np.ndarray, whiten: bool) -> _MarginalFactor:
     eig = linalg.eig_hermitian(mat)
     keep = eig.eigenvalues > SUPPORT_CUTOFF
     lam = eig.eigenvalues[keep]
     v = eig.eigenvectors[:, keep]
     r = len(lam)
     diag = np.diag(lam).astype(complex)
-    if lam.min() < WHITEN_THRESHOLD:
-        return _MarginalFactor(v * np.sqrt(lam), diag, np.eye(r, dtype=complex), lam, v)
-    return _MarginalFactor(v, np.eye(r, dtype=complex), diag, lam, v)
+    if whiten and lam.min() < WHITEN_THRESHOLD:
+        return _MarginalFactor(v * np.sqrt(lam), diag, np.eye(r, dtype=complex), lam)
+    return _MarginalFactor(v, np.eye(r, dtype=complex), diag, lam)
 
 
 def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
@@ -248,17 +243,56 @@ def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
     return marg1, sigma.matrix
 
 
+def _off_block_rows(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
+    """Zero rows for every entry that couples two eigenvectors of the anchor
+    marginal, the first one or the second.  The compression basis
+    diagonalizes it, so the block structure is literal in these coordinates."""
+    anchor = f1.lam if on_first else f2.lam
+    if len(anchor) > 1 and np.min(np.diff(anchor)) < 1e-8:
+        warnings.warn(
+            "eigenbasis of the anchor marginal is not unique; using "
+            "the decomposition as returned",
+            DegenerateEigenbasis,
+        )
+    r2 = f2.rank
+    block = (lambda p: p // r2) if on_first else (lambda p: p % r2)
+    dd = f1.rank * r2
+    p, q = np.triu_indices(dd, k=1)
+    cross = np.flatnonzero(block(p) != block(q))
+    # The Re and Im basis elements of every such entry (herm_to_vec order:
+    # diagonal, Re upper, Im upper).
+    return _herm_basis(dd)[dd + np.concatenate([cross, len(p) + cross])]
+
+
+_BUILT_KINDS = (
+    "general",
+    "ppt",
+    "symmetric_ppt",
+    "classical_quantum",
+    "quantum_classical",
+    "ppt_extension",
+)
+
+
 def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingProblem:
     """Assemble the constraint data for a coupling optimization.  The
     product set has no free variables and is refused."""
     rho, sigma = as_density(rho), as_density(sigma)
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
+    kind = cset.kind
+    if kind not in _BUILT_KINDS:
+        raise InvalidDimension(f"no constraint data for coupling set kind {kind!r}")
     d = rho.dim
     marg1, marg2 = marginals(rho, sigma, convention)
-    notes = []
-    f1 = _marginal_factor(marg1)
-    if cset.kind == "symmetric_ppt":
+    n = 1
+    if kind == "ppt_extension":
+        n = cset.n_copies or 2
+        if n < 2 or n > PPT_EXTENSION_CAP:
+            raise InvalidDimension(
+                f"extension order {n} outside 2..{PPT_EXTENSION_CAP}"
+            )
+    if kind == "symmetric_ppt":
         # Symmetry forces equal marginals and a shared compression factor;
         # under the DPT convention that additionally requires rho^T = rho.
         if np.linalg.norm(rho.matrix - sigma.matrix) > 1e-8:
@@ -270,95 +304,13 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
                 "symmetric couplings under the transposed convention need "
                 "a transpose-invariant state"
             )
-        f2 = f1
-    else:
-        f2 = _marginal_factor(marg2)
-    g1, g2, m1, m2 = f1.g, f2.g, f1.m, f2.m
+    # Extensions are support-compressed but never whitened: their variable
+    # blows up like 1/lambda^n in whitened coordinates, which ruins the gap
+    # certificate; the isometry form keeps it a state.
+    f1 = _marginal_factor(marg1, whiten=n == 1)
+    f2 = f1 if kind == "symmetric_ppt" else _marginal_factor(marg2, whiten=n == 1)
     r1, r2 = f1.rank, f2.rank
-    if r1 < d or r2 < d:
-        notes.append(f"variable compressed to marginal supports ({r1} x {r2})")
-    lift = np.kron(f1.t, f2.t)
-
-    def lift_cost_base(c):
-        return linalg.hermitize(lift.conj().T @ c @ lift)
-
-    def lift_back(y):
-        return lift @ y @ lift.conj().T
-
-    if cset.kind in ("general", "ppt", "classical_quantum", "quantum_classical"):
-        rows, rhs = _marginal_rows(
-            m1,
-            m2,
-            lambda e: np.kron(e, g2),
-            lambda e: np.kron(g1, e),
-        )
-        cones = [lambda y: y]
-        if cset.kind == "ppt":
-            cones.append(lambda y: linalg.partial_transpose(y, 1, (r1, r2)))
-        if cset.kind in ("classical_quantum", "quantum_classical"):
-            # The compression basis diagonalizes the anchor marginal, so
-            # the block structure is literal in these coordinates.
-            on_first = cset.kind == "classical_quantum"
-            anchor = f1.lam if on_first else f2.lam
-            if len(anchor) > 1 and np.min(np.diff(anchor)) < 1e-8:
-                warnings.warn(
-                    "eigenbasis of the anchor marginal is not unique; using "
-                    "the decomposition as returned",
-                    DegenerateEigenbasis,
-                )
-            block = (lambda p: p // r2) if on_first else (lambda p: p % r2)
-            dd = r1 * r2
-            p, q = np.triu_indices(dd, k=1)
-            cross = np.flatnonzero(block(p) != block(q))
-            # The Re and Im basis elements of every entry coupling two
-            # blocks (herm_to_vec order: diagonal, Re upper, Im upper).
-            off = _herm_basis(dd)[dd + np.concatenate([cross, len(p) + cross])]
-            rows = np.concatenate([rows, off])
-            rhs = np.concatenate([rhs, np.zeros(len(off))])
-            notes.append(f"block structure in the recorded eigenbasis ({cset.kind})")
-        return CouplingProblem(
-            var_cdim=r1 * r2,
-            cone_maps=cones,
-            eq_rows=rows,
-            eq_rhs=rhs,
-            lift_cost=lift_cost_base,
-            extract_coupling=lift_back,
-            feasible_witness=np.kron(m1, m2),
-            notes=notes,
-        )
-
-    if cset.kind == "symmetric_ppt":
-        vs = symmetric_isometry(r1)
-        ds = vs.shape[1]
-        rows, rhs = _marginal_rows(
-            m1,
-            m2,
-            lambda e: vs.conj().T @ np.kron(e, g2) @ vs,
-            lambda e: vs.conj().T @ np.kron(g1, e) @ vs,
-        )
-        cones = [
-            lambda z: z,
-            lambda z: linalg.partial_transpose(vs @ z @ vs.conj().T, 1, (r1, r2)),
-        ]
-        return CouplingProblem(
-            var_cdim=ds,
-            cone_maps=cones,
-            eq_rows=rows,
-            eq_rhs=rhs,
-            lift_cost=lambda c: vs.conj().T @ lift_cost_base(c) @ vs,
-            extract_coupling=lambda z: lift_back(vs @ z @ vs.conj().T),
-            notes=notes + ["variable compressed to the symmetric subspace"],
-        )
-
-    if cset.kind == "ppt_extension":
-        # Support-compressed but never whitened: the extension variable
-        # blows up like 1/lambda^n in whitened coordinates, which ruins
-        # the gap certificate; the isometry form keeps it a state.
-        n = cset.n_copies or 2
-        if n < 2 or n > PPT_EXTENSION_CAP:
-            raise InvalidDimension(
-                f"extension order {n} outside 2..{PPT_EXTENSION_CAP}"
-            )
+    if n > 1:
         need = extension_memory_estimate(r1, r2, n)
         if need > EXTENSION_MEMORY_BUDGET:
             raise InvalidDimension(
@@ -366,61 +318,77 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
                 f"{need / 2**30:.1f} GiB, above the "
                 f"{EXTENSION_MEMORY_BUDGET / 2**30:.0f} GiB budget"
             )
-        v1, v2 = f1.isometry, f2.isometry
-        mc1 = linalg.hermitize(v1.conj().T @ marg1 @ v1)
-        mc2 = linalg.hermitize(v2.conj().T @ marg2 @ v2)
-        iso = np.kron(v1, v2)
-        rest = r1 ** (n - 1)
-        nc = r1**n * r2
-        rows, rhs = _marginal_rows(
-            mc1,
-            mc2,
-            lambda e: np.kron(e, np.eye(rest * r2)),
-            lambda e: np.kron(np.eye(r1**n), e),
-        )
-        rows = [rows]
-        # Permutation symmetry of the A copies via adjacent transpositions.
-        f = flip_operator(r1).matrix
-        basis = _herm_basis(nc)
+    notes = []
+    if r1 < d or r2 < d:
+        notes.append(f"variable compressed to marginal supports ({r1} x {r2})")
+
+    # The variable lives on (A1, A2..An, B): n copies of the first support
+    # and one of the second; ``rest`` is the dimension of the middle copies.
+    rest = r1 ** (n - 1)
+    nc = r1 * rest * r2
+    zero_rows = []
+    if n > 1:
+        # Permutation symmetry of the copies via adjacent transpositions.
+        f, basis = flip_operator(r1).matrix, _herm_basis(nc)
         for t in range(n - 1):
-            swap = np.kron(
-                np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2)
-            )
-            rows.append(swap @ basis @ swap - basis)
+            swap = np.kron(np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2))
+            zero_rows.append(swap @ basis @ swap - basis)
         del basis
-        rows = np.concatenate(rows)
-        rhs = np.concatenate([rhs, np.zeros(len(rows) - len(rhs))])
-        cones = [lambda y: y]
+        notes.append(f"{n}:1 symmetric extension, PPT across every cut")
+    if kind in ("classical_quantum", "quantum_classical"):
+        zero_rows.append(_off_block_rows(f1, f2, kind == "classical_quantum"))
+        notes.append(f"block structure in the recorded eigenbasis ({kind})")
+    rows, rhs = _marginal_rows(
+        f1.m,
+        f2.m,
+        lambda e: np.kron(e, np.kron(np.eye(rest), f2.g)),
+        lambda e: np.kron(np.kron(f1.g, np.eye(rest)), e),
+    )
+    rows = np.concatenate([rows, *zero_rows])
+    rhs = np.concatenate([rhs, np.zeros(len(rows) - len(rhs))])
+
+    v = symmetric_isometry(r1) if kind == "symmetric_ppt" else None
+    if v is not None:
+        rows = v.conj().T @ rows @ v
+        notes.append("variable compressed to the symmetric subspace")
+
+    def full(y):
+        """The variable on all n + 1 supports, undoing the compression."""
+        return y if v is None else v @ y @ v.conj().T
+
+    cones = [lambda y: y]
+    if kind in ("ppt", "symmetric_ppt", "ppt_extension"):
         for k in range(1, n + 1):
-            dims_cut = (r1**k, r1 ** (n - k) * r2)
-            cones.append(
-                lambda y, dims_cut=dims_cut: linalg.partial_transpose(y, 1, dims_cut)
-            )
+            cut = (r1**k, r1 ** (n - k) * r2)
+            cones.append(lambda y, cut=cut: linalg.partial_transpose(full(y), 1, cut))
 
-        def lift_ext(c):
-            cc = linalg.hermitize(iso.conj().T @ c @ iso)  # acts on (A1, B)
-            k = np.kron(cc, np.eye(rest))  # order [A1, B, mid]
-            return permute_systems(k, (r1, r2, rest), (0, 2, 1))
+    lift = np.kron(f1.t, f2.t)
+    mid = np.arange(rest)
 
-        def extract(x):
-            per = permute_systems(
-                x, (r1,) * n + (r2,), (0, n) + tuple(range(1, n))
-            )
-            reduced = linalg.partial_trace(per, 2, (r1 * r2, rest))
-            return iso @ reduced @ iso.conj().T
+    def lift_cost(c):
+        # c acts on (A1, B) and the identity on the middle copies.
+        cc = linalg.hermitize(lift.conj().T @ c @ lift).reshape(r1, r2, r1, r2)
+        y = np.zeros((r1, rest, r2) * 2, dtype=complex)
+        y[:, mid, :, :, mid, :] = cc
+        y = y.reshape(nc, nc)
+        return y if v is None else v.conj().T @ y @ v
 
-        witness = mc2
-        for _ in range(n):
-            witness = np.kron(mc1, witness)
-        return CouplingProblem(
-            var_cdim=nc,
-            cone_maps=cones,
-            eq_rows=rows,
-            eq_rhs=rhs,
-            lift_cost=lift_ext,
-            extract_coupling=extract,
-            feasible_witness=witness,
-            notes=notes + [f"{n}:1 symmetric extension, PPT across every cut"],
-        )
+    def extract_coupling(y):
+        # Trace out the middle copies.
+        x = np.trace(full(y).reshape((r1, rest, r2) * 2), axis1=1, axis2=4)
+        return lift @ x.reshape(r1 * r2, r1 * r2) @ lift.conj().T
 
-    raise InvalidDimension(f"no constraint data for coupling set kind {cset.kind!r}")
+    # The product coupling m1^(x n) x m2; it has no image under v.
+    witness = f2.m
+    for _ in range(n):
+        witness = np.kron(f1.m, witness)
+    return CouplingProblem(
+        var_cdim=nc if v is None else v.shape[1],
+        cone_maps=cones,
+        eq_rows=rows,
+        eq_rhs=rhs,
+        lift_cost=lift_cost,
+        extract_coupling=extract_coupling,
+        feasible_witness=witness if v is None else None,
+        notes=notes,
+    )

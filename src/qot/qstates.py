@@ -2,7 +2,7 @@
 
 Paulis, SU(d) generators in the generalized Gell-Mann basis, angular
 momentum operators from the ladder-operator formula, maximally entangled
-states, the flip operator and the symmetric projector, plus the
+states, the flip operator and the symmetric-subspace isometry, plus the
 density-matrix admission check used by every consumer of state data.
 
 Transposes throughout the package are taken in the computational basis;

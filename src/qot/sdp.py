@@ -41,10 +41,13 @@ matrix product at extension sizes and costs about 1 us more per call at
 fig2 sizes.  The duality gap is certified as an absolute width,
 ``gap_tol``, whatever the scale of the objective.
 
-Every solve starts at y = 0 and X = I (scaled by a trace constraint if
-there is one).  S starts at C when C is safely positive definite, which
-makes the start dual feasible; coupling solves pass a strictly feasible
-coupling, mapped through the cones, as C.  Otherwise S starts at I.
+Every solve starts at y = 0 and X = xi I.  Where the constraints fix
+Tr X (the identity lies in their row span), xi = <A(I), b> / |A(I)|^2 is
+the least-squares scale of the identity, which meets that trace exactly;
+elsewhere, as in every coupling solve, X = I.  S starts at C when C is
+safely positive definite, which makes the start dual feasible; coupling
+solves pass a strictly feasible coupling, mapped through the cones, as C.
+Otherwise S starts at I.
 
 At a degenerate optimum (strict complementarity lost, as where two
 coupling sets give the same value) the Mehrotra step can collapse: both
@@ -165,22 +168,12 @@ def solve_blocks(
         n = sizes[ib]
         return mat[..., start[ib] : start[ib] + n * n].reshape(*mat.shape[:-1], n, n)
 
-    # Write the symmetrised input into the flat layout, and scan the input
-    # for a trace constraint, one that is alpha * I on every block.  Only
-    # rows whose block traces fit reach np.isclose, which copies its input.
+    # Write the symmetrised input into the flat layout.
     c, a = np.empty(n_cols), np.empty((len(b), n_cols))
     for ib, (cost, blk) in enumerate(zip(cost_blocks, constraint_blocks)):
         cols(c, ib)[...] = _sym(np.asarray(cost, dtype=float))
-        blk, n = np.asarray(blk, dtype=float), sizes[ib]
+        blk = np.asarray(blk, dtype=float)
         np.add(blk, _t(blk), out=cols(a, ib))
-        if ib == 0:
-            alphas = blk[:, 0, 0].copy()
-            is_trace = np.abs(alphas) > 1e-12
-        tol = 2 * n * (1e-12 + 1e-5 * np.abs(alphas))
-        is_trace &= np.abs(np.trace(blk, axis1=1, axis2=2) - n * alphas) <= tol
-        p = np.flatnonzero(is_trace)
-        scaled_eye = alphas[p, None, None] * np.eye(n)
-        is_trace[p] = np.isclose(blk[p], scaled_eye, atol=1e-12).all(axis=(1, 2))
     del constraint_blocks, blk
     a /= 2
 
@@ -203,13 +196,15 @@ def solve_blocks(
     def a_adjoint(vec):
         return np.einsum("p,pj->j", vec, a)
 
-    # Interior start: scale X by the first trace constraint.  Coupling
-    # solves have none (their directions are traceless) and start at X = I.
-    xi = 1.0
-    if is_trace.any():
-        p = int(np.argmax(is_trace))
-        xi = max(b[p] / (alphas[p] * n_total), 1e-6)
+    # Interior start: X = xi I.  When the constraints fix the trace, the
+    # identity lies in the span of the (orthonormal) rows, |A(I)|^2 =
+    # |I|^2, and xi is the least-squares scale <A(I), b> / |A(I)|^2, which
+    # meets the trace exactly.  Otherwise, as in coupling solves, X = I.
     s = flat([np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()])
+    a_eye = a_apply(s)
+    xi = 1.0
+    if a_eye @ a_eye > (1.0 - 1e-9) * n_total:
+        xi = max(float(a_eye @ b_red) / float(a_eye @ a_eye), 1e-6)
     x = xi * s
     y = np.zeros(m)
     floor = min(np.linalg.eigvalsh(cg)[:, 0].min() for cg in views(c))

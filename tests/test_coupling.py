@@ -24,6 +24,30 @@ def cone_floor(problem, x):
     )
 
 
+def squeezed(d, rng, small):
+    """A real state with one eigenvalue ``small``, low enough to be
+    whitened; real so that the symmetric set admits it under DPT."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.concatenate([[small], rng.uniform(0.5, 1.0, d - 1)])
+    return (q * (lam / lam.sum())) @ q.T
+
+
+def random_herm(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = linalg.hermitize(g)
+    return g / np.linalg.norm(g)
+
+
+WITNESS_SETS = (
+    cp.GENERAL,
+    cp.PPT,
+    cp.CLASSICAL_QUANTUM,
+    cp.QUANTUM_CLASSICAL,
+    cp.ppt_extension(2),
+    cp.ppt_extension(3),
+)
+
+
 class TestSetParsing:
     def test_names(self):
         assert cp.coupling_set("general") is cp.GENERAL
@@ -64,9 +88,8 @@ class TestBuild:
             # the first marginal is whitened
             (np.diag([0.995, 0.005]), np.diag([0.6, 0.4])),
         ]
-        csets = (cp.GENERAL, cp.PPT, cp.ppt_extension(2), cp.CLASSICAL_QUANTUM)
         for rho, sigma in pairs:
-            for cset in csets:
+            for cset in WITNESS_SETS:
                 for conv in ("dpt", "gmpc"):
                     problem = cp.build(rho, sigma, cset, conv)
                     w = problem.feasible_witness
@@ -77,13 +100,36 @@ class TestBuild:
     def test_dpt_marginal_is_transpose(self):
         rng = np.random.default_rng(62)
         rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
-        problem = cp.build(rho, sigma, cp.GENERAL, "dpt")
-        # the witness extracts back to rho^T x sigma
-        coupling = problem.extract_coupling(problem.feasible_witness)
-        assert np.allclose(
-            linalg.partial_trace(coupling, 2, (2, 2)), rho.matrix.T
-        )
-        assert np.allclose(linalg.partial_trace(coupling, 1, (2, 2)), sigma.matrix)
+        for cset in WITNESS_SETS:
+            problem = cp.build(rho, sigma, cset, "dpt")
+            # the witness extracts back to rho^T x sigma
+            coupling = problem.extract_coupling(problem.feasible_witness)
+            assert np.allclose(coupling, np.kron(rho.matrix.T, sigma.matrix)), cset
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("convention", ["dpt", "gmpc"])
+    @pytest.mark.parametrize("whitened", [False, True], ids=["plain", "whitened"])
+    def test_lift_cost_is_adjoint_of_extraction(self, d, convention, whitened):
+        # <lift_cost(c), y> = <c, extract_coupling(y)> for every set
+        rng = np.random.default_rng(72 + d)
+        if whitened:
+            rho, sigma = squeezed(d, rng, 2e-3), squeezed(d, rng, 5e-4)
+        else:
+            rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng)
+        c = random_herm(d * d, rng)
+        for cset in WITNESS_SETS + (cp.SYMMETRIC_PPT,):
+            if d == 3 and cset == cp.ppt_extension(3):
+                continue  # refused by the size guard
+            if cset is cp.SYMMETRIC_PPT:
+                # equal, transpose-invariant marginals
+                real = squeezed(d, rng, 2e-3 if whitened else 0.2)
+                problem = cp.build(real, real, cset, convention)
+            else:
+                problem = cp.build(rho, sigma, cset, convention)
+            y = random_herm(problem.var_cdim, rng)
+            lhs = linalg.frob_inner(problem.lift_cost(c), y)
+            rhs = linalg.frob_inner(c, problem.extract_coupling(y))
+            assert abs(lhs - rhs) <= 1e-12, (cset, lhs - rhs)
 
     def test_product_set_refused(self):
         # the product coupling has a closed form and no constraint data

@@ -402,9 +402,9 @@ class TestFig2CoincidencePoint:
 class TestEngineInput:
     # The engine is handed null-space directions that are orthonormal and
     # traceless (the trace is fixed by the marginals), mapped isometrically
-    # into each cone and realified.  The engine relies on this: its start
-    # scan for a trace constraint never fires, and re-spanning the rows is
-    # a rotation.
+    # into each cone and realified.  The engine relies on this: the
+    # identity is not in their span, so it starts at X = I, and
+    # re-spanning the rows is a rotation.
     SETS = [
         cp.GENERAL,
         cp.PPT,
