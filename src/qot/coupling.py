@@ -12,9 +12,11 @@ must all be PSD.  The sets differ only in four parameters:
   compression  the symmetric-subspace isometry for symmetric_ppt, else none
   PPT cuts     a partial transpose after each of the first k copies,
                k = 1..n, for ppt, symmetric_ppt and ppt_extension(n)
-  zero rows    swap symmetry of the copies when n > 1; the entries between
-               eigenvectors of the first marginal for classical_quantum,
-               and of the second for quantum_classical
+  subspace     the admissible variables, as orthonormal rows: when n > 1
+               the operators invariant under every permutation of the
+               copies; for classical_quantum the entries that couple no two
+               eigenvectors of the first marginal, and for
+               quantum_classical of the second; else the full space
 
 So general is the n = 1 member without a cut and ppt the one with it.
 The product set has a closed form (see wasserstein) and is not built here.
@@ -49,7 +51,7 @@ from .errors import (
     InvalidDimension,
     MarginalMismatch,
 )
-from .qstates import DensityMatrix, as_density, flip_operator, symmetric_isometry
+from .qstates import DensityMatrix, as_density, symmetric_isometry
 
 PPT_EXTENSION_CAP = 3
 SUPPORT_CUTOFF = 1e-12
@@ -135,10 +137,12 @@ class CouplingProblem:
     of the ``cone_maps`` sends it (or a stack of variables) to a matrix
     that must be PSD (the first map always reproducing the variable itself),
     the equality constraints read Tr(eq_rows[i] X) = eq_rhs[i] with
-    ``eq_rows`` one (k, var_cdim, var_cdim) stack (set to None by the
-    solve, which takes its real coordinates), and ``lift_cost`` /
-    ``extract_coupling`` translate between the d^2 coupling space and the
-    variable space.
+    ``eq_rows`` one (k, var_cdim, var_cdim) stack, the variable is
+    restricted to the span of the orthonormal ``subspace`` rows (in
+    linalg.herm_to_vec coordinates; None for the full space), and
+    ``lift_cost`` / ``extract_coupling`` translate between the d^2 coupling
+    space and the variable space.  The solve takes the real coordinates of
+    ``eq_rows`` and ``subspace`` and sets both to None.
     """
 
     var_cdim: int
@@ -147,6 +151,7 @@ class CouplingProblem:
     eq_rhs: np.ndarray
     lift_cost: object
     extract_coupling: object
+    subspace: np.ndarray | None = None
     feasible_witness: np.ndarray | None = None
     notes: list = field(default_factory=list)
 
@@ -168,13 +173,13 @@ def _marginal_rows(m1, m2, embed1, embed2):
 
 
 def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
-    """Bytes the compile step of an n:1 extension holds at its peak, for
-    marginal ranks r1 and r2.
+    """Bytes an n:1 extension holds at its peak, build and solve together,
+    for marginal ranks r1 and r2.
 
-    Counted: the Hermitian basis of the variable and its n - 1 stacks of
-    swap rows; the stack of all equality rows (r1^2 + r2^2 marginal rows
-    and (n - 1) var swap rows) and its real coordinates, with the full SVD
-    of those (input copy, U, V^T and workspace); and the engine's
+    Counted: the orthonormal basis of the permutation-invariant subspace,
+    r2^2 C(r1^2 + n - 1, n) rows of the variable's real dimension, and the
+    elimination's right singular vectors lifted through it; the r1^2 + r2^2
+    marginal rows, complex and in real coordinates; and the engine's
     constraint data.  That is four copies of the realified free
     directions, one (2 nc)^2 block per cone: the caller's stacks (freed
     before the engine's SVD unless another reference holds them), the
@@ -183,18 +188,14 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     """
     nc = r1**n * r2
     var = nc * nc  # real dimension of the variable
-    n_rows = r1 * r1 + r2 * r2 + (n - 1) * var
-    # Free directions: permutation-invariant Hermitian operators, i.e.
-    # r2^2 times the symmetric n-th power of the r1^2 operator space,
-    # less the independent marginal rows.
-    free = r2 * r2 * math.comb(r1 * r1 + n - 1, n) - (r1 * r1 + r2 * r2 - 1)
-    basis_and_swaps = 16 * var * var * n
-    eq_rows = 16 * n_rows * var + 2 * 8 * n_rows * var
-    svd = 8 * (
-        2 * n_rows * var + n_rows * n_rows + var * var + 4 * min(n_rows, var) ** 2
-    )
+    n_rows = r1 * r1 + r2 * r2
+    n_sub = r2 * r2 * math.comb(r1 * r1 + n - 1, n)
+    # Free directions: the subspace less the independent marginal rows.
+    free = n_sub - (n_rows - 1)
+    subspace = 2 * 8 * n_sub * var
+    eq_rows = 16 * n_rows * var + 8 * n_rows * var
     engine = 8 * (4 * free * (n + 1) * (2 * nc) ** 2 + 8 * free * free)
-    return basis_and_swaps + eq_rows + svd + engine
+    return subspace + eq_rows + engine
 
 
 WHITEN_THRESHOLD = 1e-2
@@ -243,10 +244,53 @@ def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
     return marg1, sigma.matrix
 
 
-def _off_block_rows(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
-    """Zero rows for every entry that couples two eigenvectors of the anchor
-    marginal, the first one or the second.  The compression basis
-    diagonalizes it, so the block structure is literal in these coordinates."""
+def _class_basis(labels: np.ndarray) -> np.ndarray:
+    """Orthonormal rows, in linalg.herm_to_vec coordinates, spanning the
+    Hermitian matrices that are constant on every class of entries sharing
+    a label and vanish where the label is -1.
+
+    A class C closed under the adjoint gives one row, its indicator; a
+    class paired with its adjoint gives two, C + C^dag and i(C - C^dag).
+    Every coordinate belongs to at most one row, so the rows are
+    orthogonal by construction.
+    """
+    nc = len(labels)
+    i, j = np.triu_indices(nc, k=1)
+    up, adj = labels[i, j], labels[j, i]
+    # Each coordinate (diagonal, Re upper, Im upper) goes to the row keyed
+    # by its class, the smaller label of the pair, with the value the
+    # row's matrix has there; the i(C - C^dag) rows take the odd keys.
+    pair = 2 * np.minimum(up, adj)
+    key = np.concatenate([2 * np.diagonal(labels), pair, pair + 1])
+    root2 = np.sqrt(2.0)
+    val = np.concatenate(
+        [np.ones(nc), np.full(len(up), root2), root2 * np.sign(adj - up)]
+    )
+    coord = np.flatnonzero((key >= 0) & (val != 0))
+    row = np.unique(key[coord], return_inverse=True)[1]
+    basis = np.zeros((row.max() + 1, nc * nc))
+    basis[row, coord] = val[coord]
+    return basis / np.linalg.norm(basis, axis=1, keepdims=True)
+
+
+def _orbit_labels(r1: int, r2: int, n: int) -> np.ndarray:
+    """Entry labels of an operator on n copies of C^r1 and one of C^r2 that
+    are shared exactly by an orbit under permutations of the copies: the
+    sorted (row, column) digit pairs of the copies, then that of the last
+    factor, read as one number."""
+    digits = np.indices((r1,) * n + (r2,)).reshape(n + 1, -1)
+    pairs = np.sort(digits[:n, :, None] * r1 + digits[:n, None, :], axis=0)
+    labels = digits[n][:, None] * r2 + digits[n][None, :]
+    for code in pairs:
+        labels = labels * (r1 * r1) + code
+    return labels
+
+
+def _on_block_labels(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
+    """Entry labels that keep every entry on its own except those coupling
+    two eigenvectors of the anchor marginal, the first one or the second,
+    which get -1.  The compression basis diagonalizes it, so the block
+    structure is literal in these coordinates."""
     anchor = f1.lam if on_first else f2.lam
     if len(anchor) > 1 and np.min(np.diff(anchor)) < 1e-8:
         warnings.warn(
@@ -255,13 +299,11 @@ def _off_block_rows(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
             DegenerateEigenbasis,
         )
     r2 = f2.rank
-    block = (lambda p: p // r2) if on_first else (lambda p: p % r2)
     dd = f1.rank * r2
-    p, q = np.triu_indices(dd, k=1)
-    cross = np.flatnonzero(block(p) != block(q))
-    # The Re and Im basis elements of every such entry (herm_to_vec order:
-    # diagonal, Re upper, Im upper).
-    return _herm_basis(dd)[dd + np.concatenate([cross, len(p) + cross])]
+    block = np.arange(dd) // r2 if on_first else np.arange(dd) % r2
+    labels = np.arange(dd * dd).reshape(dd, dd)
+    labels[block[:, None] != block[None, :]] = -1
+    return labels
 
 
 _BUILT_KINDS = (
@@ -326,17 +368,12 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
     # and one of the second; ``rest`` is the dimension of the middle copies.
     rest = r1 ** (n - 1)
     nc = r1 * rest * r2
-    zero_rows = []
+    labels = None
     if n > 1:
-        # Permutation symmetry of the copies via adjacent transpositions.
-        f, basis = flip_operator(r1).matrix, _herm_basis(nc)
-        for t in range(n - 1):
-            swap = np.kron(np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2))
-            zero_rows.append(swap @ basis @ swap - basis)
-        del basis
+        labels = _orbit_labels(r1, r2, n)
         notes.append(f"{n}:1 symmetric extension, PPT across every cut")
     if kind in ("classical_quantum", "quantum_classical"):
-        zero_rows.append(_off_block_rows(f1, f2, kind == "classical_quantum"))
+        labels = _on_block_labels(f1, f2, kind == "classical_quantum")
         notes.append(f"block structure in the recorded eigenbasis ({kind})")
     rows, rhs = _marginal_rows(
         f1.m,
@@ -344,8 +381,6 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         lambda e: np.kron(e, np.kron(np.eye(rest), f2.g)),
         lambda e: np.kron(np.kron(f1.g, np.eye(rest)), e),
     )
-    rows = np.concatenate([rows, *zero_rows])
-    rhs = np.concatenate([rhs, np.zeros(len(rows) - len(rhs))])
 
     v = symmetric_isometry(r1) if kind == "symmetric_ppt" else None
     if v is not None:
@@ -389,6 +424,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         eq_rhs=rhs,
         lift_cost=lift_cost,
         extract_coupling=extract_coupling,
+        subspace=None if labels is None else _class_basis(labels),
         feasible_witness=witness if v is None else None,
         notes=notes,
     )

@@ -17,10 +17,12 @@ one (m, N) matrix, and X, S and every direction one length-N vector with a
 (K, n, n) view per group, so A(.), A*(.) and each inner product is one
 call, and each eigensolver call, product and step length serves a group.
 NT scaling is blockwise, so no iterate changes in exact arithmetic.  Schur
-assembly alone runs block by block, as over a group it needs an
-(m, K, n, n) temporary.  Each iteration factors the Schur matrix once and
-inverts its Cholesky factor, and a step is accepted when one Cholesky
-factorisation of the new X and S succeeds.
+assembly alone runs block by block: with the NT factor W = R R^T, block b
+adds B B^T for B = R^T A_b R, one BLAS syrk, so the Schur matrix is
+exactly symmetric; over a group B would be an (m, K, n, n) temporary.
+Each iteration factors the Schur matrix once and inverts its Cholesky
+factor, and a step is accepted when one Cholesky factorisation of the new
+X and S succeeds.
 
 Complex Hermitian data enters exclusively through ``linalg.realify`` and
 is never tied to its doubling symmetry by extra constraints.  Cost,
@@ -260,19 +262,18 @@ def solve_blocks(
             w_sc.append(rf @ _t(rf))
             inv_roots.append(inv_root)
 
-        # Schur assembly stays one block at a time: over a whole stack the
-        # W A W products would need an (m, K, n, n) temporary.
+        # Schur matrix: <A_p, W A_q W> = <R^T A_p R, R^T A_q R>, so block b
+        # adds B B^T with B = R^T A_b R, which NumPy hands to BLAS syrk.
         m_mat = np.zeros((m, m))
-        for mem, wg in zip(by_size.values(), w_sc):
-            for ib, wk in zip(mem, wg):
-                ak = cols(a, ib)
-                wa = np.matmul(wk, np.matmul(ak, wk))
-                m_mat += ak.reshape(m, -1) @ wa.reshape(m, -1).T
+        for mem, rg in zip(by_size.values(), r_fac):
+            for ib, rk in zip(mem, rg):
+                bk = (_t(rk) @ cols(a, ib) @ rk).reshape(m, -1)
+                m_mat += bk @ bk.T
         try:
-            chol = np.linalg.cholesky(_sym(m_mat))
+            chol = np.linalg.cholesky(m_mat)
         except np.linalg.LinAlgError:
             m_mat += np.eye(m) * max(np.trace(m_mat) / m, 1.0) * 1e-13
-            chol = np.linalg.cholesky(_sym(m_mat))
+            chol = np.linalg.cholesky(m_mat)
         # One factorisation per iteration, shared by every Schur solve:
         # M^-1 = U U^T with U = (L^T)^-1.  LU of the upper factor L^T needs
         # no row exchange, so each column of U is a triangular solve.

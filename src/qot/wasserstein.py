@@ -111,12 +111,18 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     """Minimize <c_var, X> over the coupling problem via the null-space
     dual embedding; returns (X_var, engine result).
 
-    ``problem.eq_rows`` is released once its real coordinates are taken."""
+    The constraints are eliminated inside ``problem.subspace`` where the
+    set has one.  ``problem.eq_rows`` and ``problem.subspace`` are released
+    once their real coordinates are taken."""
     n = problem.var_cdim
-    rows = linalg.herm_to_vec(problem.eq_rows)
-    problem.eq_rows = None
+    rows, sub = linalg.herm_to_vec(problem.eq_rows), problem.subspace
+    problem.eq_rows = problem.subspace = None
     bvec = np.asarray(problem.eq_rhs, dtype=float)
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
+    red = rows if sub is None else rows @ sub.T
+    u, s, vt = np.linalg.svd(red, full_matrices=True)
+    if sub is not None:
+        vt = vt @ sub  # the right singular vectors in full coordinates
+    del red, sub
     rank = int(np.sum(s > 1e-12 * s[0]))
     # The particular solution is the strictly feasible witness where the
     # set has one, so that the engine's cost, the witness mapped through

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -36,6 +37,22 @@ def random_herm(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = linalg.hermitize(g)
     return g / np.linalg.norm(g)
+
+
+def ranked_state(d, r, rng):
+    """A random state on C^d of rank r."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = np.concatenate([rng.uniform(0.5, 1.0, r), np.zeros(d - r)])
+    return (q * (lam / lam.sum())) @ q.conj().T
+
+
+def adjacent_swaps(r1, r2, n):
+    """The transpositions of neighbouring copies on (C^r1)^(x n) x C^r2."""
+    f = qs.flip_operator(r1).matrix
+    return [
+        np.kron(np.kron(np.eye(r1**t), f), np.eye(r1 ** (n - t - 2) * r2))
+        for t in range(n - 1)
+    ]
 
 
 WITNESS_SETS = (
@@ -96,6 +113,11 @@ class TestBuild:
                     assert w is not None
                     assert eq_residual(problem, w) < 1e-10, (cset, conv)
                     assert cone_floor(problem, w) > -1e-12, (cset, conv)
+                    sub = problem.subspace
+                    if sub is not None:  # None: the full space
+                        wv = linalg.herm_to_vec(w)
+                        off = wv - sub.T @ (sub @ wv)
+                        assert np.linalg.norm(off) < 1e-12, (cset, conv)
 
     def test_dpt_marginal_is_transpose(self):
         rng = np.random.default_rng(62)
@@ -152,7 +174,7 @@ class TestBuild:
             cp.build(rho, rho, cp.ppt_extension(1), "gmpc")
 
     def test_extension_size_guard_refuses_before_building(self, monkeypatch):
-        # d = 3, n = 3 needs about 16 GiB; the refusal comes from the
+        # d = 3, n = 3 needs about 4.9 GiB; the refusal comes from the
         # estimate alone, before any constraint data exists
         def fail(_d):
             raise AssertionError("constraint data built for a refused input")
@@ -183,9 +205,35 @@ class TestBuild:
             assert res.diagnostics["status"] == "Optimal"
             assert peak <= need, (d, n, peak, need)
 
+    @pytest.mark.parametrize(
+        "r1,r2,n", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 3), (1, 2, 2)]
+    )
+    def test_extension_subspace(self, r1, r2, n):
+        # The orthonormal permutation-invariant basis spans exactly the
+        # null space of the swap rows S X S - X, one per adjacent swap S.
+        rng = np.random.default_rng(73)
+        d = max(r1, r2)
+        rho, sigma = ranked_state(d, r1, rng), ranked_state(d, r2, rng)
+        problem = cp.build(rho, sigma, cp.ppt_extension(n), "dpt")
+        sub, nc = problem.subspace, problem.var_cdim
+        assert nc == r1**n * r2
+        assert sub.shape == (r2 * r2 * math.comb(r1 * r1 + n - 1, n), nc * nc)
+        assert np.allclose(sub @ sub.T, np.eye(len(sub)), rtol=0, atol=1e-14)
+        ops = linalg.vec_to_herm(sub, nc)
+        basis = linalg.vec_to_herm(np.eye(nc * nc), nc)
+        swap_rows = []
+        for swap in adjacent_swaps(r1, r2, n):
+            assert np.allclose(swap @ ops @ swap, ops, rtol=0, atol=1e-14)
+            swap_rows.append(linalg.herm_to_vec(swap @ basis @ swap - basis))
+        _, sv, vt = np.linalg.svd(np.concatenate(swap_rows))
+        null = vt[int(np.sum(sv > 1e-10)) :]
+        assert null.shape == sub.shape
+        assert np.allclose(null.T @ null, sub.T @ sub, rtol=0, atol=1e-12)
+
     def test_extension_with_pure_first_marginal(self):
-        # r1 = 1: the flip on one copy is the 1 x 1 identity, so every swap
-        # row vanishes, and the pure marginal forces the product coupling
+        # r1 = 1: every operator on the copies is permutation invariant, so
+        # the subspace is the full space, and the pure marginal forces the
+        # product coupling
         rng = np.random.default_rng(71)
         psi, sigma = qs.random_pure(2, rng), qs.random_density(2, rng)
         spec = ws.CostSpec((qs.random_hermitian(2, rng),), "gmpc")
@@ -218,7 +266,11 @@ class TestBuild:
         rng = np.random.default_rng(67)
         rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
         problem = cp.build(rho, sigma, cp.CLASSICAL_QUANTUM, "gmpc")
-        # witness satisfies the block-zero rows: entries coupling distinct
-        # eigenvectors vanish
+        # the subspace keeps the two diagonal 2 x 2 blocks, so the entries
+        # coupling distinct eigenvectors vanish in every direction and in
+        # the witness
+        ops = linalg.vec_to_herm(problem.subspace, 4)
+        assert ops.shape == (8, 4, 4)
+        assert not np.any(ops[:, :2, 2:]) and not np.any(ops[:, 2:, :2])
         w = problem.feasible_witness
         assert abs(w[0, 2]) < 1e-12 and abs(w[1, 3]) < 1e-12

@@ -442,14 +442,15 @@ class TestEngineInput:
 
     def test_elimination_freed_before_engine(self, monkeypatch):
         # Only the null-space basis and the particular solution outlive the
-        # constraint elimination: the problem's complex rows, the SVD input
-        # and its factors are dead by the time the engine is entered.
+        # constraint elimination: the problem's complex rows, its subspace
+        # basis, the SVD input and its factors are dead by the time the
+        # engine is entered.
         refs, alive = [], []
         svd, engine, build = np.linalg.svd, sdp.solve_blocks, cp.build
 
         def recorded_build(*args, **kwargs):
             problem = build(*args, **kwargs)
-            refs.append(weakref.ref(problem.eq_rows))
+            refs.extend(weakref.ref(x) for x in (problem.eq_rows, problem.subspace))
             return problem
 
         def recorded_svd(a, *args, **kwargs):
@@ -470,5 +471,5 @@ class TestEngineInput:
         spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
         res = ws.distance_squared(rho, sigma, spec, cp.ppt_extension(2))
         assert res.diagnostics["status"] == "Optimal"
-        assert len(refs) == 5
+        assert len(refs) == 6
         assert alive == [0]
