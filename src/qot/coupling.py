@@ -28,12 +28,12 @@ PPT actually coincides with separability at the given dimension.
 
 Problems are posed in compressed coordinates X = (T_1 x T_2) Y (T_1 x
 T_2)^dag, which is exact: couplings are automatically supported on
-supp(marg1) x supp(marg2), and partial transposes conjugate covariantly.
-Well-conditioned marginals use the support isometry for T.  For n = 1,
-marginals with tiny eigenvalues are whitened (T absorbs the eigenvalue
-square roots), which makes the product coupling the identity matrix and
-keeps the feasible region's interior O(1) wide even when a marginal is
-nearly singular or outright rank-deficient.
+supp(marg1) x supp(marg2) (facial reduction), and partial transposes
+conjugate covariantly.  A marginal V diag(lam) V^dag gets T = V diag(lam)^p,
+p = 1/4 for n = 1: the product coupling and the near-diagonal optimum of
+a nearly singular marginal then both have entries of order lam^(1/2), and
+neither they nor the dual potentials grow like 1/lam.  Extensions keep
+the support isometry, p = 0.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     InvalidDimension,
     MarginalMismatch,
 )
-from .qstates import DensityMatrix, as_density, symmetric_isometry
+from .qstates import DensityMatrix, as_density, flip_operator, symmetric_isometry
 
 PPT_EXTENSION_CAP = 3
 SUPPORT_CUTOFF = 1e-12
@@ -141,8 +141,9 @@ class CouplingProblem:
     restricted to the span of the orthonormal ``subspace`` rows (in
     linalg.herm_to_vec coordinates; None for the full space), and
     ``lift_cost`` / ``extract_coupling`` translate between the d^2 coupling
-    space and the variable space.  The solve takes the real coordinates of
-    ``eq_rows`` and ``subspace`` and sets both to None.
+    space and the variable space.  ``feasible_witness`` is a point of the
+    subspace meeting the equalities, PD in every cone.  The solve takes the
+    real coordinates of ``eq_rows`` and ``subspace`` and sets both to None.
     """
 
     var_cdim: int
@@ -151,8 +152,8 @@ class CouplingProblem:
     eq_rhs: np.ndarray
     lift_cost: object
     extract_coupling: object
+    feasible_witness: np.ndarray
     subspace: np.ndarray | None = None
-    feasible_witness: np.ndarray | None = None
     notes: list = field(default_factory=list)
 
 
@@ -198,20 +199,14 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     return subspace + eq_rows + engine
 
 
-WHITEN_THRESHOLD = 1e-2
-
-
 @dataclass(frozen=True)
 class _MarginalFactor:
-    """Compression data for one marginal.
+    """Compression data for one marginal V diag(lam) V^dag.
 
-    ``t`` maps the compressed space into the full one, ``g`` = t^dag t,
-    and ``m`` is the marginal in compressed coordinates, so the marginal
-    constraint reads Tr_other[(. x g) Y] = m.  Well-conditioned marginals
-    are only support-compressed (t = the isometry, m = diag(lam));
-    marginals with tiny eigenvalues are whitened (t absorbs sqrt(lam),
-    m = 1), which keeps the feasible set's interior O(1) wide at the cost
-    of rescaling the variable.
+    ``t`` = V diag(lam)^p maps the compressed space into the full one,
+    ``g`` = t^dag t = diag(lam)^(2p), and ``m`` = diag(lam)^(1 - 2p) is
+    the marginal in compressed coordinates, so the marginal constraint
+    reads Tr_other[(. x g) Y] = m and m1 x m2 meets both.
     """
 
     t: np.ndarray
@@ -224,16 +219,17 @@ class _MarginalFactor:
         return len(self.lam)
 
 
-def _marginal_factor(mat: np.ndarray, whiten: bool) -> _MarginalFactor:
+def _marginal_factor(mat: np.ndarray, p: float) -> _MarginalFactor:
     eig = linalg.eig_hermitian(mat)
     keep = eig.eigenvalues > SUPPORT_CUTOFF
     lam = eig.eigenvalues[keep]
     v = eig.eigenvectors[:, keep]
-    r = len(lam)
-    diag = np.diag(lam).astype(complex)
-    if whiten and lam.min() < WHITEN_THRESHOLD:
-        return _MarginalFactor(v * np.sqrt(lam), diag, np.eye(r, dtype=complex), lam)
-    return _MarginalFactor(v, np.eye(r, dtype=complex), diag, lam)
+    return _MarginalFactor(
+        v * lam**p,
+        np.diag(lam ** (2 * p)).astype(complex),
+        np.diag(lam ** (1 - 2 * p)).astype(complex),
+        lam,
+    )
 
 
 def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
@@ -346,11 +342,11 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
                 "symmetric couplings under the transposed convention need "
                 "a transpose-invariant state"
             )
-    # Extensions are support-compressed but never whitened: their variable
-    # blows up like 1/lambda^n in whitened coordinates, which ruins the gap
-    # certificate; the isometry form keeps it a state.
-    f1 = _marginal_factor(marg1, whiten=n == 1)
-    f2 = f1 if kind == "symmetric_ppt" else _marginal_factor(marg2, whiten=n == 1)
+    # Scaled by lam^(1/4), an extension's middle copies would carry the
+    # weights g, and its solves take more iterations.
+    p = 0.25 if n == 1 else 0.0
+    f1 = _marginal_factor(marg1, p)
+    f2 = f1 if kind == "symmetric_ppt" else _marginal_factor(marg2, p)
     r1, r2 = f1.rank, f2.rank
     if n > 1:
         need = extension_memory_estimate(r1, r2, n)
@@ -413,10 +409,16 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         x = np.trace(full(y).reshape((r1, rest, r2) * 2), axis1=1, axis2=4)
         return lift @ x.reshape(r1 * r2, r1 * r2) @ lift.conj().T
 
-    # The product coupling m1^(x n) x m2; it has no image under v.
+    # The product coupling m1^(x n) x m2.
     witness = f2.m
     for _ in range(n):
         witness = np.kron(f1.m, witness)
+    if v is not None:
+        # With S = m = g, W = (S x S)(1 + F)/2 + sum_k (1 - lam_k)/2 |kk><kk|
+        # meets Tr_2[(1 x S) W] = S, is PD on Sym^2 and has a PD partial
+        # transpose.
+        witness = witness + witness @ flip_operator(r1).matrix
+        witness = v.conj().T @ (witness + np.diag(np.diag(1 - f1.lam).ravel())) @ v / 2
     return CouplingProblem(
         var_cdim=nc if v is None else v.shape[1],
         cone_maps=cones,
@@ -425,6 +427,6 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         lift_cost=lift_cost,
         extract_coupling=extract_coupling,
         subspace=None if labels is None else _class_basis(labels),
-        feasible_witness=witness if v is None else None,
+        feasible_witness=witness,
         notes=notes,
     )

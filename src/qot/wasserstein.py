@@ -119,23 +119,20 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     problem.eq_rows = problem.subspace = None
     bvec = np.asarray(problem.eq_rhs, dtype=float)
     red = rows if sub is None else rows @ sub.T
-    u, s, vt = np.linalg.svd(red, full_matrices=True)
+    s, vt = np.linalg.svd(red, full_matrices=True)[1:]
     if sub is not None:
         vt = vt @ sub  # the right singular vectors in full coordinates
     del red, sub
     rank = int(np.sum(s > 1e-12 * s[0]))
-    # The particular solution is the strictly feasible witness where the
-    # set has one, so that the engine's cost, the witness mapped through
-    # the cones, is a PD slack at y = 0.  Otherwise it is least squares.
-    if problem.feasible_witness is None:
-        x0_vec = vt[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
-    else:
-        x0_vec = linalg.herm_to_vec(problem.feasible_witness)
+    # The particular solution is the strictly feasible witness, so that the
+    # engine's cost, the witness mapped through the cones, is a PD slack
+    # at y = 0.
+    x0_vec = linalg.herm_to_vec(problem.feasible_witness)
     if np.linalg.norm(rows @ x0_vec - bvec) > 1e-9 * (1.0 + np.linalg.norm(bvec)):
         raise MarginalMismatch("marginal constraint system is inconsistent")
     # A copy, so that the SVD factors are freed before the engine runs.
     null = vt[rank:].copy()
-    del rows, u, s, vt
+    del rows, s, vt
     x0 = linalg.vec_to_herm(x0_vec, n)
     if null.shape[0] == 0:
         return x0, None

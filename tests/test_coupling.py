@@ -26,8 +26,8 @@ def cone_floor(problem, x):
 
 
 def squeezed(d, rng, small):
-    """A real state with one eigenvalue ``small``, low enough to be
-    whitened; real so that the symmetric set admits it under DPT."""
+    """A real state with one small eigenvalue ``small``; real so that the
+    symmetric set admits it under DPT."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     lam = np.concatenate([[small], rng.uniform(0.5, 1.0, d - 1)])
     return (q * (lam / lam.sum())) @ q.T
@@ -55,6 +55,7 @@ def adjacent_swaps(r1, r2, n):
     ]
 
 
+# Every built set but symmetric_ppt, which needs equal marginals.
 WITNESS_SETS = (
     cp.GENERAL,
     cp.PPT,
@@ -100,13 +101,16 @@ class TestExactness:
 class TestBuild:
     def test_product_witness_feasible(self):
         rng = np.random.default_rng(61)
-        pairs = [
-            (qs.random_density(2, rng), qs.random_density(2, rng)),
-            # the first marginal is whitened
-            (np.diag([0.995, 0.005]), np.diag([0.6, 0.4])),
+        cases = [
+            (qs.random_density(2, rng), qs.random_density(2, rng), WITNESS_SETS),
+            # a nearly singular first marginal
+            (np.diag([0.995, 0.005]), np.diag([0.6, 0.4]), WITNESS_SETS),
         ]
-        for rho, sigma in pairs:
-            for cset in WITNESS_SETS:
+        # equal real marginals: plain, nearly singular and rank-deficient
+        reals = (squeezed(2, rng, 0.3), squeezed(3, rng, 1e-6), np.diag([0.7, 0.3, 0]))
+        cases += [(real, real, (cp.SYMMETRIC_PPT,)) for real in reals]
+        for rho, sigma, csets in cases:
+            for cset in csets:
                 for conv in ("dpt", "gmpc"):
                     problem = cp.build(rho, sigma, cset, conv)
                     w = problem.feasible_witness

@@ -10,7 +10,7 @@ from qot import metrology as mt
 from qot import qstates as qs
 from qot import sdp
 from qot import wasserstein as ws
-from qot.linalg import partial_trace
+from qot.linalg import derealify, partial_trace
 
 SZ = qs.pauli("z")
 SX = qs.pauli("x")
@@ -400,11 +400,11 @@ class TestFig2CoincidencePoint:
 
 
 class TestEngineInput:
-    # The engine is handed null-space directions that are orthonormal and
-    # traceless (the trace is fixed by the marginals), mapped isometrically
-    # into each cone and realified.  The engine relies on this: the
-    # identity is not in their span, so it starts at X = I, and
-    # re-spanning the rows is a rotation.
+    # The engine is handed null-space directions that are orthonormal, and
+    # whose couplings in full coordinates are traceless (the trace is fixed
+    # by the marginals), mapped isometrically into each cone and realified.
+    # The engine relies on this: the identity is not in their span, so it
+    # starts at X = I, and re-spanning the rows is a rotation.
     SETS = [
         cp.GENERAL,
         cp.PPT,
@@ -432,9 +432,15 @@ class TestEngineInput:
         ws.distance_squared(rho, sigma, spec, cset)
         ws.wasserstein_variance(rho, sigma, spec, cset)
         assert len(calls) == 2
+        problem = cp.build(rho, sigma, cset, "gmpc")
         for stacks in calls:
-            for stk in stacks:
-                assert np.max(np.abs(np.trace(stk, axis1=1, axis2=2))) <= 1e-12
+            # Tr(g1 x g2 . D) = 0 for every direction D, read off the first
+            # cone, the variable itself
+            traces = [
+                np.trace(problem.extract_coupling(derealify(stk)))
+                for stk in stacks[0]
+            ]
+            assert np.max(np.abs(traces)) <= 1e-12
             rows = np.concatenate([stk.reshape(len(stk), -1) for stk in stacks], 1)
             gram = rows @ rows.T
             want = 2.0 * len(stacks) * np.eye(len(rows))
@@ -473,3 +479,68 @@ class TestEngineInput:
         assert res.diagnostics["status"] == "Optimal"
         assert len(refs) == 6
         assert alive == [0]
+
+
+def certified(res):
+    """The acceptance gates: Optimal, gap <= 1e-8, marginal residual <= 1e-7."""
+    diag = res.diagnostics
+    return (
+        diag["status"] == "Optimal"
+        and diag["gap"] <= 1e-8
+        and diag["marginal_residual"] <= 1e-7
+    )
+
+
+def with_small_eigenvalue(mat, small):
+    """The state ``mat`` with its smallest eigenvalue set to ``small``."""
+    lam, v = np.linalg.eigh(mat)
+    lam[0] = small
+    return qs.validate_density((v * (lam / lam.sum())) @ v.conj().T)
+
+
+class TestNearSingularMarginals:
+    def test_near_pure_qubit_self_distance_is_qfi_over_4(self):
+        # PPT is separability on qubits, so the separable self-distance is
+        # QFI/4 exactly; near-pure states once certified values above it
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            rho = qs.random_density(2, rng).matrix
+            rho = with_small_eigenvalue(rho, 10 ** rng.uniform(-7, -5))
+            h = qs.random_hermitian(2, rng)
+            spec = ws.CostSpec((h,), "gmpc")
+            want = mt.qfi(rho, h) / 4
+            for cset in (cp.PPT, cp.SYMMETRIC_PPT):
+                res = ws.distance_squared(rho, rho, spec, cset)
+                assert certified(res), (cset, res.diagnostics)
+                assert abs(res.value - want) <= res.diagnostics["gap"], cset
+
+    def test_squeezed_sweep_certified(self):
+        # Seeded d = 3 pairs: plain, rho squeezed, or both squeezed to a
+        # smallest eigenvalue 10^U(-7, -3).  Compressed by the support
+        # isometry V alone, the general pairs with rho squeezed fail; by the
+        # whitening V diag(lam)^(1/2), the pairs and self rows with both
+        # squeezed do.
+        rng = np.random.default_rng(11)
+        failed = []
+        for i in range(12):
+            rho, sigma = qs.random_density(3, rng), qs.random_density(3, rng)
+            if i % 3:
+                rho = with_small_eigenvalue(rho.matrix, 10 ** rng.uniform(-7, -3))
+            if i % 3 == 2:
+                sigma = with_small_eigenvalue(sigma.matrix, 10 ** rng.uniform(-7, -3))
+            h = qs.random_hermitian(3, rng)
+            solves = [
+                (f, rho, sigma, cset, conv)
+                for cset in (cp.GENERAL, cp.PPT, cp.CLASSICAL_QUANTUM)
+                for conv in ("dpt", "gmpc")
+                for f in (ws.distance_squared, ws.wasserstein_variance)
+            ]
+            solves += [
+                (ws.distance_squared, rho, rho, cset, "gmpc")
+                for cset in (cp.GENERAL, cp.PPT, cp.SYMMETRIC_PPT)
+            ]
+            for f, a, b, cset, conv in solves:
+                res = f(a, b, ws.CostSpec((h,), conv), cset)
+                if not certified(res):
+                    failed.append((i, f.__name__, cset.kind, conv, res.diagnostics))
+        assert not failed, failed
