@@ -23,16 +23,10 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The Hermiticity and PSD-floor thresholds shared by state validation
-    and the solve's cone check; other thresholds sit with their code."""
-
-    hermiticity: float = 1e-10
-    psd_floor: float = -1e-8
-
-
-TOL = Tolerances()
+# State validation's thresholds: the relative Hermiticity defect admitted,
+# and the smallest eigenvalue a density matrix may have.
+HERMITICITY_TOL = 1e-10
+PSD_FLOOR = -1e-8
 
 
 def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
@@ -55,7 +49,7 @@ def hermiticity_defect(a: np.ndarray):
 
 
 def check_hermitian(
-    a, tol: float = TOL.hermiticity, stack: bool = False
+    a, tol: float = HERMITICITY_TOL, stack: bool = False
 ) -> np.ndarray:
     """Complex copy of a Hermitian matrix (or, with ``stack``, of a stack
     of them, each judged on its own)."""

@@ -62,7 +62,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-10:
             raise NotUnitTrace(f"trace is {tr!r}, deviates by {abs(tr - 1.0):.3e}")
         lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < linalg.TOL.psd_floor:
+        if lam_min < linalg.PSD_FLOOR:
             raise NotPSD(f"minimum eigenvalue {lam_min:.3e} below PSD floor")
 
     @property
@@ -102,7 +102,7 @@ def validate_density(m, dims=None) -> DensityMatrix:
     """
     mat = linalg.as_complex_matrix(m)
     defect = linalg.hermiticity_defect(mat)
-    if defect > linalg.TOL.hermiticity:
+    if defect > linalg.HERMITICITY_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e}")
     return DensityMatrix(HermitianOperator(mat, dims or ()))
 

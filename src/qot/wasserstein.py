@@ -181,23 +181,15 @@ def _optimize(rho, sigma, spec: CostSpec, cset: cp.CouplingSet, sense, options):
     c_var = problem.lift_cost(spec.cost_operator())
     sign = -1.0 if sense == "maximize" else 1.0
     x_var, res = _solve_reduced(problem, sign * c_var, options or DEFAULT_OPTIONS)
-    if res is None:
-        # The affine set is a single point; it is optimal iff it lies in
-        # every cone.
-        cone_floor = min(
-            float(np.linalg.eigvalsh(apply(x_var))[0])
-            for apply in problem.cone_maps
-        )
-        status = "Optimal" if cone_floor >= linalg.TOL.psd_floor else "Infeasible"
-    else:
-        status = res.status
     value = float(linalg.frob_inner(c_var, x_var))
     coup = _clean_coupling(problem.extract_coupling(x_var), d)
     marg1, marg2 = cp.marginals(rho, sigma, spec.convention)
     r1 = np.linalg.norm(linalg.partial_trace(coup.matrix, 2, (d, d)) - marg1)
     r2 = np.linalg.norm(linalg.partial_trace(coup.matrix, 1, (d, d)) - marg2)
+    # With no free direction the affine set is the witness alone, which
+    # is PD in every cone, so it is optimal.
     diag = {
-        "status": status,
+        "status": "Optimal" if res is None else res.status,
         "gap": 0.0 if res is None else res.gap,
         "iterations": 0 if res is None else res.iterations,
         "marginal_residual": float(max(r1, r2)),

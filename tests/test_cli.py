@@ -226,15 +226,6 @@ class TestFig2:
         assert rc == 1
         assert not out.exists()
 
-    def test_script_matches_cli(self, tmp_path, capsys):
-        script = load_script("run_fig2_sweep")
-        via_script = tmp_path / "script.csv"
-        via_cli = tmp_path / "cli.csv"
-        assert script.run(["--points", "8", "--out", str(via_script)]) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert main(["fig2", "--points", "8", "--out", str(via_cli)]) == 0
-        assert via_script.read_bytes() == via_cli.read_bytes()
-
 
 class TestTable1:
     def test_example4_rows(self, capsys, tmp_path, sz_file):

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -403,8 +404,10 @@ class TestEngineInput:
     # The engine is handed null-space directions that are orthonormal, and
     # whose couplings in full coordinates are traceless (the trace is fixed
     # by the marginals), mapped isometrically into each cone and realified.
-    # The engine relies on this: the identity is not in their span, so it
-    # starts at X = I, and re-spanning the rows is a rotation.
+    # Their right-hand sides are consistent, since the product coupling
+    # meets every marginal row.  The engine relies on this: the identity is
+    # not in their span, so it starts at X = I, re-spanning the rows is a
+    # rotation, and it tests no row for consistency.
     SETS = [
         cp.GENERAL,
         cp.PPT,
@@ -414,9 +417,24 @@ class TestEngineInput:
         cp.ppt_extension(2),
         cp.ppt_extension(3),
     ]
+    # (d, rank of the second marginal), full rank where None.  An id names
+    # d and the rank only where they are not 2 and full.
+    MARGINALS = [(2, None), (2, 1), (3, None), (3, 2)]
+    CASES = [
+        pytest.param(
+            cset,
+            d,
+            rank,
+            id=cset.label() + f"-d{d}" * (d != 2) + f"-rank{rank}" * bool(rank),
+        )
+        for (d, rank), cset in itertools.product(MARGINALS, SETS)
+        # The size guard refuses ext-3 at d = 3, and a pure second marginal
+        # leaves a one-copy coupling no free direction to hand the engine.
+        if (d, cset.n_copies) != (3, 3) and (rank, cset.n_copies) != (1, None)
+    ]
 
-    @pytest.mark.parametrize("cset", SETS, ids=lambda c: c.label())
-    def test_constraints_traceless_and_orthonormal(self, cset, monkeypatch):
+    @pytest.mark.parametrize("cset, d, rank", CASES)
+    def test_constraints_traceless_and_orthonormal(self, cset, d, rank, monkeypatch):
         calls = []
         engine = sdp.solve_blocks
 
@@ -426,9 +444,11 @@ class TestEngineInput:
 
         monkeypatch.setattr(sdp, "solve_blocks", spy)
         rng = np.random.default_rng(66)
-        rho = qs.random_density(2, rng)
-        sigma = rho if cset.kind == "symmetric_ppt" else qs.random_density(2, rng)
-        spec = ws.CostSpec((qs.random_hermitian(2, rng),), "gmpc")
+        if cset.kind == "symmetric_ppt":
+            rho = sigma = qs.random_density(d, rng, rank)
+        else:
+            rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng, rank)
+        spec = ws.CostSpec((qs.random_hermitian(d, rng),), "gmpc")
         ws.distance_squared(rho, sigma, spec, cset)
         ws.wasserstein_variance(rho, sigma, spec, cset)
         assert len(calls) == 2
