@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     InvalidSpin,
-    NotHermitian,
     NotPSD,
     NotUnitTrace,
 )
@@ -100,11 +99,7 @@ def validate_density(m, dims=None) -> DensityMatrix:
     Raises NotHermitian, NotUnitTrace or NotPSD, each naming the magnitude
     of the violation.
     """
-    mat = linalg.as_complex_matrix(m)
-    defect = linalg.hermiticity_defect(mat)
-    if defect > linalg.HERMITICITY_TOL:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e}")
-    return DensityMatrix(HermitianOperator(mat, dims or ()))
+    return DensityMatrix(HermitianOperator(m, dims or ()))
 
 
 _PAULI = {
@@ -143,8 +138,6 @@ def su_generators(d: int) -> list[HermitianOperator]:
         diag[:l] = 1.0
         diag[l] = -l
         gens.append(np.diag(diag).astype(complex) * np.sqrt(2.0 / (l * (l + 1))))
-    if d == 2:  # conventional Pauli ordering x, y, z
-        gens = [gens[0], gens[1], gens[2]]
     return [HermitianOperator(g, (d,)) for g in gens]
 
 

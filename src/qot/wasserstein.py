@@ -238,6 +238,13 @@ def tilde_variance(rho, sigma, spec, cset, options=None):
     )
 
 
+# Normalized mode -> (kernel builder, cost convention, coupling set).
+_GENERALIZED_MODES = {
+    "sepyf": (metrology.roof_kernel_Y, "gmpc", cp.PPT),
+    "generalzf": (metrology.general_kernel_Z, "dpt", cp.GENERAL),
+}
+
+
 def generalized_distance_squared(
     rho, sigma, h, f: metrology.MonotoneFunction, mode: str, options=None
 ):
@@ -249,18 +256,14 @@ def generalized_distance_squared(
     Both kernels are built in the eigenbasis of the first argument; the
     choice matters only for rho != sigma and is recorded in the notes.
     """
-    key = mode.replace("_", "").lower()
     rho = as_density(rho)
-    if key == "sepyf":
-        kernel = metrology.roof_kernel_Y(rho, f)
-        spec = CostSpec((metrology.hadamard_transform(rho, kernel, h),), "gmpc")
-        result = distance_squared(rho, sigma, spec, cp.PPT, options)
-    elif key == "generalzf":
-        kernel = metrology.general_kernel_Z(rho, f)
-        spec = CostSpec((metrology.hadamard_transform(rho, kernel, h),), "dpt")
-        result = distance_squared(rho, sigma, spec, cp.GENERAL, options)
-    else:
+    key = mode.replace("_", "").lower()
+    if key not in _GENERALIZED_MODES:
         raise InvalidDimension(f"unknown generalized-distance mode {mode!r}")
+    kernel, convention, cset = _GENERALIZED_MODES[key]
+    observable = metrology.hadamard_transform(rho, kernel(rho, f), h)
+    spec = CostSpec((observable,), convention)
+    result = distance_squared(rho, sigma, spec, cset, options)
     result.notes.append(f"kernel {f.name} built in the eigenbasis of rho")
     return result
 
@@ -271,17 +274,11 @@ def self_distance_table(rho, h, options=None) -> list:
     rho = as_density(rho)
     h = as_operator(h)
     d = rho.dim
-    eig = linalg.eig_hermitian(rho.matrix)
-    var_eig = [
-        metrology.variance(
-            DensityMatrix(
-                HermitianOperator(np.outer(v, v.conj()), (d,))
-            ),
-            h,
-        )
-        for v in eig.eigenvectors.T
-    ]
-    cc_value = float(np.sum(np.clip(eig.eigenvalues, 0.0, None) * np.array(var_eig)))
+    # Dephasing coupling: sum_k l_k var_k(H), with the variance in the k-th
+    # eigenvector read off H in the eigenbasis, sum_l |H_kl|^2 - |H_kk|^2.
+    lam, _, h_eig = metrology._spectrum(rho, h)
+    h_abs2 = np.abs(h_eig) ** 2
+    cc_value = float(np.sum(lam * (h_abs2.sum(axis=1) - np.diag(h_abs2))))
 
     rows = []
     spec_dpt = CostSpec((h,), "dpt")

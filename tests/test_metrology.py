@@ -7,6 +7,8 @@ from qot.errors import IrregularFunction
 
 SZ = qs.pauli("z")
 SKEW_EX4 = 1.0 - np.sqrt(3.0) / 2.0  # frozen Example-4 anchor
+# A user-defined standard regular function: the power mean with p = 1/4.
+F_POW = mt.MonotoneFunction("power_mean", lambda x: ((1.0 + x**0.25) / 2.0) ** 4)
 
 
 def example4_state():
@@ -103,9 +105,11 @@ class TestMonotoneFamily:
             mt.gen_qfi(np.eye(2) / 2, SZ, geo)
 
     def test_non_standard_rejected(self):
-        bad = mt.MonotoneFunction("bad", lambda x: x + 0.5)
-        with pytest.raises(IrregularFunction):
-            bad.validate()
+        # x + 0.5 breaks f(1) = 1; (1 + 3x)/4 keeps it but breaks
+        # f(t) = t f(1/t), e.g. f(2) = 1.75 while 2 f(1/2) = 1.25.
+        for g in (lambda x: x + 0.5, lambda x: (1.0 + 3.0 * x) / 4.0):
+            with pytest.raises(IrregularFunction):
+                mt.MonotoneFunction("bad", g).validate()
 
     def test_gen_qfi_reduces_to_known(self):
         rng = np.random.default_rng(46)
@@ -200,10 +204,12 @@ class TestConversionKernels:
     @pytest.mark.parametrize("d", [2, 3])
     def test_conversion_identity(self, d):
         rng = np.random.default_rng(51 + d)
+        F_POW.validate()
         for _ in range(25):
             rho = qs.random_density(d, rng)
             h = qs.random_hermitian(d, rng)
-            for f1, f2 in [(mt.F_MAX, mt.F_WY), (mt.F_WY, mt.F_MAX)]:
+            pairs = [(mt.F_MAX, mt.F_WY), (mt.F_WY, mt.F_MAX), (F_POW, mt.F_MAX)]
+            for f1, f2 in pairs:
                 q = mt.conversion_matrix(rho, f1, f2)
                 h2 = mt.hadamard_transform(rho, q, h)
                 assert mt.gen_qfi(rho, h, f1) == pytest.approx(

@@ -16,6 +16,8 @@ from qot.linalg import derealify, partial_trace
 SZ = qs.pauli("z")
 SX = qs.pauli("x")
 SKEW_EX4 = 1.0 - np.sqrt(3.0) / 2.0
+# A user-defined standard regular function: the power mean with p = 1/4.
+F_POW = mt.MonotoneFunction("power_mean", lambda x: ((1.0 + x**0.25) / 2.0) ** 4)
 
 
 def example4_state():
@@ -295,8 +297,11 @@ class TestTilde:
 
 class TestGeneralizedFamily:
     @pytest.mark.parametrize("mode", ["sep_yf", "general_zf"])
-    @pytest.mark.parametrize("f", [mt.F_MAX, mt.F_WY], ids=["f_max", "f_wy"])
+    @pytest.mark.parametrize(
+        "f", [mt.F_MAX, mt.F_WY, F_POW], ids=["f_max", "f_wy", "power_mean"]
+    )
     def test_self_distance_matches_generalized_qfi(self, mode, f):
+        f.validate()
         rng = np.random.default_rng(86)
         rho = qs.random_density(2, rng)
         h = qs.random_hermitian(2, rng)
