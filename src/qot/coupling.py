@@ -38,6 +38,7 @@ the support isometry, p = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -157,18 +158,22 @@ class CouplingProblem:
     notes: list = field(default_factory=list)
 
 
+@functools.lru_cache(maxsize=None)
 def _herm_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis matching linalg.herm_to_vec coordinates,
-    as one (d^2, d, d) stack."""
-    return linalg.vec_to_herm(np.eye(d * d), d)
+    as one read-only (d^2, d, d) stack."""
+    basis = linalg.vec_to_herm(np.eye(d * d), d)
+    basis.flags.writeable = False
+    return basis
 
 
-def _marginal_rows(m1, m2, embed1, embed2):
+def _marginal_rows(m1, m2, right, left):
     """Marginal constraints in compressed coordinates: the reduced states
-    must equal m1 and m2 (the trace constraint sits in their span).
-    ``embed1``/``embed2`` act on a whole basis stack; returns (rows, rhs)."""
+    must equal m1 and m2 (the trace constraint sits in their span).  The
+    rows are e x ``right`` and ``left`` x e over the basis stacks e;
+    returns (rows, rhs)."""
     b1, b2 = _herm_basis(m1.shape[0]), _herm_basis(m2.shape[0])
-    rows = np.concatenate([embed1(b1), embed2(b2)])
+    rows = np.concatenate([linalg.kron(b1, right), linalg.kron(left, b2)])
     rhs = np.concatenate([linalg.frob_inner(b1, m1), linalg.frob_inner(b2, m2)])
     return rows, rhs
 
@@ -372,10 +377,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         labels = _on_block_labels(f1, f2, kind == "classical_quantum")
         notes.append(f"block structure in the recorded eigenbasis ({kind})")
     rows, rhs = _marginal_rows(
-        f1.m,
-        f2.m,
-        lambda e: np.kron(e, np.kron(np.eye(rest), f2.g)),
-        lambda e: np.kron(np.kron(f1.g, np.eye(rest)), e),
+        f1.m, f2.m, linalg.kron(np.eye(rest), f2.g), linalg.kron(f1.g, np.eye(rest))
     )
 
     v = symmetric_isometry(r1) if kind == "symmetric_ppt" else None
@@ -393,7 +395,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
             cut = (r1**k, r1 ** (n - k) * r2)
             cones.append(lambda y, cut=cut: linalg.partial_transpose(full(y), 1, cut))
 
-    lift = np.kron(f1.t, f2.t)
+    lift = linalg.kron(f1.t, f2.t)
     mid = np.arange(rest)
 
     def lift_cost(c):
@@ -412,7 +414,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
     # The product coupling m1^(x n) x m2.
     witness = f2.m
     for _ in range(n):
-        witness = np.kron(f1.m, witness)
+        witness = linalg.kron(f1.m, witness)
     if v is not None:
         # With S = m = g, W = (S x S)(1 + F)/2 + sum_k (1 - lam_k)/2 |kk><kk|
         # meets Tr_2[(1 x S) W] = S, is PD on Sym^2 and has a PD partial

@@ -11,11 +11,13 @@ act on every matrix of the stack at once; the coupling compiler hands
 them whole sets of constraint directions.  Realified blocks are 2 r1 r2
 wide for marginal ranks r1, r2 (8x8 for qubit couplings, 32x32 at
 d = 4) and 2 r1^n r2 wide for an n:1 extension: a 2:1 extension at
-d = 3 has three 54x54 blocks.
+d = 3 has three 54x54 blocks.  Real data is embedded as its real part,
+r1 r2 wide (4x4 for the paper's real qubit pairs).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries are not admitted")
     return m
 
@@ -43,9 +45,13 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
 def hermiticity_defect(a: np.ndarray):
     """Relative Frobenius defect ||a - a^dag|| / max(1, ||a||), one value
     per matrix of a stack."""
-    fro = (-2, -1)
-    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=fro)
-    return defect / np.maximum(1.0, np.linalg.norm(a, axis=fro))
+    return _fro(a - np.swapaxes(a, -1, -2).conj()) / np.maximum(1.0, _fro(a))
+
+
+def _fro(a: np.ndarray):
+    """Frobenius norm of every matrix of a complex stack, by the formula of
+    np.linalg.norm, whose complex product need not round as re^2 + im^2."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
 def check_hermitian(
@@ -99,7 +105,13 @@ def eig_hermitian(a) -> EigenDecomposition:
 
 
 def kron(a, b) -> np.ndarray:
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product of two matrices, or of every matrix of a stack by
+    a matrix (or of a matrix by every matrix of a stack).  One broadcast
+    product forms np.kron's entries, without its reshaping overhead."""
+    a, b = as_complex_matrix(a, stack=True), as_complex_matrix(b, stack=True)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def _split_bipartite(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -147,20 +159,28 @@ def frob_inner(a: np.ndarray, b: np.ndarray):
     return np.sum(a.conj() * b, axis=(-2, -1)).real
 
 
-def realify(h) -> np.ndarray:
+def realify(h, real: bool = False) -> np.ndarray:
     """Embed a Hermitian matrix, or each of a (k, n, n) stack, as
     [[Re, -Im], [Im, Re]].
 
     The image is real symmetric, PSD iff the input is PSD, and carries
-    every eigenvalue of the input twice.
+    every eigenvalue of the input twice.  With ``real`` the input must
+    have no imaginary part, and the embedding is its real part itself.
     """
     m = check_hermitian(h, stack=True)
     re, im = m.real, m.imag
+    if real:
+        if im.any():
+            raise ValueError("a real embedding needs a zero imaginary part")
+        return re
     return np.block([[re, -im], [im, re]])
 
 
-def derealify(r: np.ndarray) -> np.ndarray:
-    """Inverse of realify, averaging the two redundant copies."""
+def derealify(r: np.ndarray, real: bool = False) -> np.ndarray:
+    """Inverse of realify, averaging the two redundant copies; with
+    ``real``, the Hermitian part of a real block."""
+    if real:
+        return hermitize(r.astype(complex))
     n2 = r.shape[0]
     if n2 % 2 != 0 or r.shape[0] != r.shape[1]:
         raise DimensionMismatch("realified matrix must be square of even size")
@@ -170,22 +190,32 @@ def derealify(r: np.ndarray) -> np.ndarray:
     return hermitize(re + 1j * im)
 
 
+@functools.lru_cache(maxsize=None)
+def _herm_index(n: int):
+    """Flat positions in a row-major n x n matrix of the diagonal, the
+    strict upper triangle and its mirror, in herm_to_vec order; read-only,
+    as every caller shares them."""
+    i, j = np.triu_indices(n, k=1)
+    index = np.arange(n) * (n + 1), i * n + j, j * n + i
+    for positions in index:
+        positions.flags.writeable = False
+    return index
+
+
 def herm_to_vec(h: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in an orthonormal basis; a
     (k, n, n) stack gives (k, n^2) rows.
 
     Coordinates are (diagonal, sqrt(2) Re upper, sqrt(2) Im upper), so the
-    Euclidean inner product of coordinate vectors equals Tr(a b).
+    Euclidean inner product of coordinate vectors equals Tr(a b).  A real
+    symmetric matrix has its coordinates in the first n(n + 1)/2.
     """
     n = h.shape[-1]
-    i, j = np.triu_indices(n, k=1)
-    upper = h[..., i, j]
+    diag, upper, _ = _herm_index(n)
+    flat = h.reshape(h.shape[:-2] + (n * n,))
+    up = flat[..., upper]
     return np.concatenate(
-        [
-            np.diagonal(h, axis1=-2, axis2=-1).real,
-            np.sqrt(2.0) * upper.real,
-            np.sqrt(2.0) * upper.imag,
-        ],
+        [flat[..., diag].real, np.sqrt(2.0) * up.real, np.sqrt(2.0) * up.imag],
         axis=-1,
     )
 
@@ -195,12 +225,11 @@ def vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
     give a (k, n, n) stack."""
     if v.shape[-1:] != (n * n,):
         raise DimensionMismatch(f"expected {n * n} coordinates, got {v.shape}")
-    k = n * (n - 1) // 2
-    h = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
-    d = np.arange(n)
-    i, j = np.triu_indices(n, k=1)
-    h[..., d, d] = v[..., :n]
-    upper = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
-    h[..., i, j] = upper
-    h[..., j, i] = upper.conj()
-    return h
+    diag, upper, lower = _herm_index(n)
+    k = len(upper)
+    h = np.zeros(v.shape[:-1] + (n * n,), dtype=complex)
+    h[..., diag] = v[..., :n]
+    up = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
+    h[..., upper] = up
+    h[..., lower] = up.conj()
+    return h.reshape(v.shape[:-1] + (n, n))

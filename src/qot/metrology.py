@@ -78,12 +78,14 @@ def qfi(rho, h) -> float:
 
 
 def skew_information(rho, h) -> float:
-    """Wigner-Yanase skew information Tr(H^2 rho) - Tr(H sqrt(rho) H sqrt(rho))."""
+    """Wigner-Yanase skew information Tr(H^2 rho) - Tr(H sqrt(rho) H sqrt(rho)).
+
+    Eigenvalues at or below SUPPORT_TOL count as 0: the square root would
+    turn their roundoff into an error of its square root."""
     rm, hm = _pair(rho, h)
     eig = linalg.eig_hermitian(rm)
-    sqrt_rho = (eig.eigenvectors * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ (
-        eig.eigenvectors.conj().T
-    )
+    lam = np.where(eig.eigenvalues > SUPPORT_TOL, eig.eigenvalues, 0.0)
+    sqrt_rho = (eig.eigenvectors * np.sqrt(lam)) @ eig.eigenvectors.conj().T
     return float(
         np.trace(hm @ hm @ rm).real - np.trace(hm @ sqrt_rho @ hm @ sqrt_rho).real
     )

@@ -7,8 +7,8 @@ scaling and a Mehrotra predictor-corrector step.  ``solve_blocks`` is the
 one entry point; a caller that maximises negates the cost (and the
 returned values).
 
-Problem sizes span two orders of magnitude.  A qubit coupling has one or
-two 8x8 realified blocks and 9 constraints, and the fig2 sweep solves
+Problem sizes span two orders of magnitude.  A real qubit coupling has
+one or two 4x4 blocks and 5 constraints, and the fig2 sweep solves
 thousands of these, so the fixed NumPy cost per call dominates there.  A
 2:1 extension at d = 3 has three 54x54 blocks and 388 constraints (27 MB).
 The engine uses one flat layout: blocks are grouped by size, a group of K
@@ -24,8 +24,9 @@ Each iteration factors the Schur matrix once and inverts its Cholesky
 factor, and a step is accepted when one Cholesky factorisation of the new
 X and S succeeds.
 
-Complex Hermitian data enters exclusively through ``linalg.realify`` and
-is never tied to its doubling symmetry by extra constraints.  Cost,
+Every problem enters through ``linalg.realify``.  Real data enters as its
+real part, n x n.  Complex Hermitian data is realified, 2n x 2n, and is
+never tied to its doubling symmetry by extra constraints.  Cost,
 constraints and the start all commute with the symplectic
 involution, so in exact arithmetic the iterates do too.  In floating
 point they need not: inside a degenerate optimal face the iterate can
@@ -70,6 +71,7 @@ numbers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +112,11 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + _t(m)) / 2
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, by np.linalg.norm's formula."""
+    return math.sqrt(v.dot(v))
+
+
 def _reduce_constraints(a_flat, b, rank_tol=1e-12):
     """Re-span constraint rows with an orthonormal independent set.
 
@@ -145,22 +152,26 @@ def solve_blocks(
     b = np.asarray(b, dtype=float)
 
     # Size groups in order of first appearance, each in input order; block
-    # ib takes the n_ib^2 coordinates from start[ib] on.
+    # ib takes the n_ib^2 coordinates from start[ib] on, and a group of K
+    # blocks of size n the span (lo, hi) of its K n^2 coordinates.
     by_size: dict = {}
     for ib, n in enumerate(sizes):
         by_size.setdefault(n, []).append(ib)
-    start, n_cols = [0] * len(sizes), 0
+    start, n_cols, spans = [0] * len(sizes), 0, []
     for n, mem in by_size.items():
+        lo = n_cols
         for ib in mem:
             start[ib], n_cols = n_cols, n_cols + n * n
+        spans.append((lo, n_cols, len(mem), n))
+    eyes = [np.eye(n) for *_, n in spans]
 
     def views(vec):
-        return [
-            vec[start[mem[0]] : start[mem[-1]] + n * n].reshape(len(mem), n, n)
-            for n, mem in by_size.items()
-        ]
+        return [vec[lo:hi].reshape(k, n, n) for lo, hi, k, n in spans]
 
     def flat(stacks):
+        """One flat vector of fresh group stacks; a single group's is a view."""
+        if len(stacks) == 1:
+            return stacks[0].reshape(-1)
         return np.concatenate([g.reshape(-1) for g in stacks])
 
     def cols(mat, ib):
@@ -179,8 +190,8 @@ def solve_blocks(
 
     a, b_red = _reduce_constraints(a, b)
     m = a.shape[0]
-    for ib in range(len(sizes)):
-        blk = cols(a, ib)
+    a_blocks = [cols(a, ib) for ib in range(len(sizes))]
+    for blk in a_blocks:
         np.add(blk, _t(blk), out=blk)
     a /= 2
 
@@ -194,7 +205,7 @@ def solve_blocks(
     # identity lies in the span of the (orthonormal) rows, |A(I)|^2 =
     # |I|^2, and xi is the least-squares scale <A(I), b> / |A(I)|^2, which
     # meets the trace exactly.  Otherwise, as in coupling solves, X = I.
-    s = flat([np.tile(np.eye(n), (len(mem), 1, 1)) for n, mem in by_size.items()])
+    s = flat([np.tile(eye, (k, 1, 1)) for eye, (*_, k, _) in zip(eyes, spans)])
     a_eye = a_apply(s)
     xi = 1.0
     if a_eye @ a_eye > (1.0 - 1e-9) * n_total:
@@ -206,7 +217,7 @@ def solve_blocks(
     if floor > 1e-8 * (1.0 + scale):
         s = c.copy()
 
-    norm_b, norm_c = np.linalg.norm(b_red), np.linalg.norm(c)
+    norm_b, norm_c = _norm(b_red), _norm(c)
     history: list = []
     status, it = "MaxIterations", 0
 
@@ -218,8 +229,8 @@ def solve_blocks(
         # Residuals are measured relative to data and iterate scale: an
         # optimal face at distance O(1/eps) caps the attainable absolute
         # residual near eps/machine precision, not the tolerance.
-        pinf = np.linalg.norm(rp) / (1.0 + norm_b + np.linalg.norm(x))
-        dinf = np.linalg.norm(rd) / (1.0 + norm_c + np.linalg.norm(s))
+        pinf = _norm(rp) / (1.0 + norm_b + _norm(x))
+        dinf = _norm(rd) / (1.0 + norm_c + _norm(s))
         # Rigorous width of the certificate: the identity
         # p - d = <X,S> - y.rp + <Rd,X> bounds |p - d| by this sum, and
         # unlike p - d itself it cannot benefit from cancellation.
@@ -239,9 +250,11 @@ def solve_blocks(
         r_fac, r_inv, v_diag, w_sc, inv_roots = [], [], [], [], []
         for xg, sg in zip(views(x), views(s)):
             k = len(xg)
-            lam, u = np.linalg.eigh(_sym(np.concatenate([xg, sg])))
+            # X and S are exactly symmetric: every step symmetrises them.
+            lam, u = np.linalg.eigh(np.concatenate([xg, sg]))
             sq = np.sqrt(np.maximum(lam, lam[:, -1:] * 1e-16))[:, None, :]
-            xh = (u[:k] * sq[:k]) @ _t(u[:k])
+            uk = u[:k]
+            xh = (uk * sq[:k]) @ _t(uk)
             inv_root = (u / sq) @ _t(u)
             lam, q = np.linalg.eigh(_sym(xh @ sg @ xh))
             lam = np.maximum(lam, lam[:, -1:] * 1e-16)[:, None, :]
@@ -257,7 +270,7 @@ def solve_blocks(
         m_mat = np.zeros((m, m))
         for mem, rg in zip(by_size.values(), r_fac):
             for ib, rk in zip(mem, rg):
-                bk = (_t(rk) @ cols(a, ib) @ rk).reshape(m, -1)
+                bk = (_t(rk) @ a_blocks[ib] @ rk).reshape(m, -1)
                 m_mat += bk @ bk.T
         try:
             chol = np.linalg.cholesky(m_mat)
@@ -317,7 +330,7 @@ def solve_blocks(
             # correction, without it the step is a pure centring one.
             rc = []
             for g, (v, rf, ri) in enumerate(zip(v_diag, r_fac, r_inv)):
-                rhs_s = np.eye(v.shape[1]) * (target - v * v)[:, None, :]
+                rhs_s = eyes[g] * (target - v * v)[:, None, :]
                 if second_order is not None:
                     dxt = ri @ views(second_order[0])[g] @ _t(ri)
                     dst = _t(rf) @ views(second_order[1])[g] @ rf
@@ -351,7 +364,7 @@ def solve_blocks(
         x, s = x_new, s_new
         y = y + ad * dy
 
-        if not (np.isfinite(float(b_red @ y)) and np.all(np.isfinite(x))):
+        if not (np.isfinite(float(b_red @ y)) and np.isfinite(x).all()):
             status = "NonFinite"
             break
 

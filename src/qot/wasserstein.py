@@ -58,8 +58,8 @@ class CostSpec:
         observable, with the transpose under the DPT convention only."""
         eye = np.eye(self.dim)
         return [
-            np.kron(h.matrix.T if self.convention == "dpt" else h.matrix, eye)
-            - np.kron(eye, h.matrix)
+            linalg.kron(h.matrix.T if self.convention == "dpt" else h.matrix, eye)
+            - linalg.kron(eye, h.matrix)
             for h in self.observables
         ]
 
@@ -100,11 +100,11 @@ def _product_value(rho, sigma, spec: CostSpec) -> float:
     return 0.5 * both + _mean_shift(rho, sigma, spec)
 
 
-def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray) -> list:
+def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray, real: bool) -> list:
     """The negated null-space directions through every cone map, as one
-    realified (k, n_b, n_b) stack per cone."""
+    embedded (k, n_b, n_b) stack per cone."""
     directions = linalg.vec_to_herm(null, problem.var_cdim)
-    return [linalg.realify(-apply(directions)) for apply in problem.cone_maps]
+    return [linalg.realify(-apply(directions), real) for apply in problem.cone_maps]
 
 
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
@@ -113,40 +113,63 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
 
     The constraints are eliminated inside ``problem.subspace`` where the
     set has one.  ``problem.eq_rows`` and ``problem.subspace`` are released
-    once their real coordinates are taken."""
+    once their real coordinates are taken.
+
+    A problem whose cost and witness are real is solved over real
+    symmetric variables.  Complex conjugation maps every coupling set onto
+    itself and keeps a real cost, so the average of an optimum and its
+    conjugate is a real optimum.  The marginal rows are real or imaginary
+    (g and m are real diagonal), and so are the class-basis rows of the
+    subspace; only the real ones, on the first n(n + 1)/2 coordinates,
+    constrain a real variable."""
     n = problem.var_cdim
-    rows, sub = linalg.herm_to_vec(problem.eq_rows), problem.subspace
+    real = not (c_var.imag.any() or problem.feasible_witness.imag.any())
+    keep = n * (n + 1) // 2 if real else n * n
+
+    def full(vec):
+        """Coordinates padded with the zero imaginary ones of a real problem."""
+        if not real:
+            return vec
+        out = np.zeros(vec.shape[:-1] + (n * n,))
+        out[..., :keep] = vec
+        return out
+
+    rows, sub = linalg.herm_to_vec(problem.eq_rows)[:, :keep], problem.subspace
     problem.eq_rows = problem.subspace = None
+    if real and sub is not None:
+        sub = sub[sub[:, :keep].any(axis=1), :keep]
     bvec = np.asarray(problem.eq_rhs, dtype=float)
     red = rows if sub is None else rows @ sub.T
     s, vt = np.linalg.svd(red, full_matrices=True)[1:]
     if sub is not None:
-        vt = vt @ sub  # the right singular vectors in full coordinates
+        vt = vt @ sub  # the right singular vectors in herm_to_vec coordinates
     del red, sub
     rank = int(np.sum(s > 1e-12 * s[0]))
     # The particular solution is the strictly feasible witness, so that the
     # engine's cost, the witness mapped through the cones, is a PD slack
     # at y = 0.
-    x0_vec = linalg.herm_to_vec(problem.feasible_witness)
+    x0_vec = linalg.herm_to_vec(problem.feasible_witness)[:keep]
     if np.linalg.norm(rows @ x0_vec - bvec) > 1e-9 * (1.0 + np.linalg.norm(bvec)):
         raise MarginalMismatch("marginal constraint system is inconsistent")
     # A copy, so that the SVD factors are freed before the engine runs.
     null = vt[rank:].copy()
     del rows, s, vt
-    x0 = linalg.vec_to_herm(x0_vec, n)
+    x0 = linalg.vec_to_herm(full(x0_vec), n)
     if null.shape[0] == 0:
         return x0, None
-    c_vec = linalg.herm_to_vec(c_var)
+    c_vec = linalg.herm_to_vec(c_var)[:keep]
     b_hat = -(null @ c_vec)
-    cost_blocks = [linalg.realify(apply(x0)) for apply in problem.cone_maps]
+    cost_blocks = [linalg.realify(apply(x0), real) for apply in problem.cone_maps]
     # The constraint stacks go to the engine with no reference kept here,
     # so it can free them once it holds its own copy.
-    res = sdp.solve_blocks(cost_blocks, _cone_stacks(problem, null), b_hat, options)
+    res = sdp.solve_blocks(
+        cost_blocks, _cone_stacks(problem, full(null), real), b_hat, options
+    )
     # The original optimizer is the slack of the reduced problem; project
     # it back onto the constraint subspace to null out dual residual.
-    x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0]))
+    x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0], real))[:keep]
     x_vec = x0_vec + null.T @ (null @ (x_raw - x0_vec))
-    return linalg.vec_to_herm(x_vec, n), res
+    return linalg.vec_to_herm(full(x_vec), n), res
 
 
 def _clean_coupling(raw: np.ndarray, d: int) -> DensityMatrix:

@@ -1,6 +1,29 @@
-"""Suite-wide settings: hypothesis draws the same examples on every run."""
+"""Suite-wide settings and fixtures.
 
+Hypothesis draws the same examples on every run.  ``engine_calls`` spies on
+the SDP engine.
+"""
+
+import pytest
 from hypothesis import settings
+
+from qot import sdp
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """A list that receives the (args, kwargs) of every call to
+    ``sdp.solve_blocks`` made through the module for the rest of the test;
+    the engine itself still runs."""
+    calls = []
+    engine = sdp.solve_blocks
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_blocks", spy)
+    return calls

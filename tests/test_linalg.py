@@ -179,6 +179,17 @@ class TestRealify:
         h = random_hermitian(4, rng)
         assert np.allclose(linalg.derealify(linalg.realify(h)), h)
 
+    def test_real_embedding_is_the_real_part(self):
+        rng = np.random.default_rng(28)
+        g = rng.standard_normal((3, 4, 4))
+        hs = (g + np.swapaxes(g, 1, 2)).astype(complex)
+        r = linalg.realify(hs, real=True)
+        assert r.dtype == float and r.tobytes() == hs.real.tobytes()
+        back = linalg.derealify(r[0], real=True)
+        assert back.dtype == complex and np.array_equal(back, hs[0])
+        with pytest.raises(ValueError, match="imaginary"):
+            linalg.realify(random_hermitian(3, rng), real=True)
+
 
 class TestHermVec:
     def test_roundtrip_and_inner_product(self):
@@ -222,6 +233,15 @@ class TestStacks:
                 linalg.partial_transpose(hs, sub, (2, 3)),
                 np.stack([linalg.partial_transpose(h, sub, (2, 3)) for h in hs]),
             )
+
+    def test_kron(self):
+        # the broadcast product forms np.kron's entries bit for bit, for a
+        # pair of matrices and per matrix of a stack on either side
+        rng = np.random.default_rng(29)
+        hs, b = self.stack(29, k=3, n=3), rng.standard_normal((2, 4))
+        self.assert_bitwise(linalg.kron(hs[0], b), np.kron(hs[0], b))
+        self.assert_bitwise(linalg.kron(hs, b), np.stack([np.kron(h, b) for h in hs]))
+        self.assert_bitwise(linalg.kron(b, hs), np.stack([np.kron(b, h) for h in hs]))
 
     def test_realify_judges_each_matrix(self):
         hs = self.stack(27)

@@ -49,12 +49,16 @@ class TestQfiAndSkew:
         assert mt.skew_information(rho, np.eye(3)) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_skew_equals_variance(self):
+        # sqrt(rho) = rho on a pure state; square roots of the roundoff
+        # eigenvalues of its kernel would move I_WY by up to 1e-7
         rng = np.random.default_rng(42)
-        psi = qs.random_pure(3, rng)
-        h = qs.random_hermitian(3, rng)
-        assert mt.skew_information(psi, h) == pytest.approx(
-            mt.variance(psi, h), abs=1e-8
-        )
+        for d in (2, 3, 4):
+            for _ in range(40):
+                psi = qs.random_pure(d, rng)
+                h = qs.random_hermitian(d, rng)
+                assert mt.skew_information(psi, h) == pytest.approx(
+                    mt.variance(psi, h), abs=1e-12
+                ), d
 
     def test_pseudo_pure_formula(self):
         # F_Q[p psi + (1-p) I/d] = p^2 / (p + 2(1-p)/d) * 4 var_psi(H)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 
-from qot import cli, linalg, sdp
+from qot import cli, linalg
 from qot import coupling as cp
 from qot import qstates as qs
 from qot import wasserstein as ws
@@ -22,21 +22,6 @@ def solve(cost, constraints, options=None):
         np.array([bv for _, bv in constraints], dtype=float),
         options,
     )
-
-
-def engine_calls(monkeypatch, run):
-    """The (args, kwargs) of every engine call that ``run()`` makes."""
-    calls = []
-    engine = sdp.solve_blocks
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return engine(*args, **kwargs)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(sdp, "solve_blocks", spy)
-        run()
-    return calls
 
 
 def feasibility_residual(constraints, x):
@@ -249,15 +234,12 @@ class TestCallCounts:
     # for the one-block general solve.  A per-block loop doubles the count.
     SPIED = ("eigh", "eigvalsh", "cholesky")
 
-    def fig2_inputs(self, monkeypatch):
+    def fig2_inputs(self, engine_calls):
         rho, sigma = cli.example_states(0.3)
         spec = ws.CostSpec((qs.pauli("z"),), "dpt")
-
-        def run():
-            for cset in (cp.GENERAL, cp.PPT):
-                ws.distance_squared(rho, sigma, spec, cset)
-
-        return engine_calls(monkeypatch, run)
+        for cset in (cp.GENERAL, cp.PPT):
+            ws.distance_squared(rho, sigma, spec, cset)
+        return engine_calls
 
     def counts(self, monkeypatch, args, kwargs, max_iters):
         counts = Counter()
@@ -277,8 +259,10 @@ class TestCallCounts:
         assert res.status == "MaxIterations"
         return counts
 
-    def test_eig_calls_per_iteration_independent_of_block_count(self, monkeypatch):
-        (gen_args, gen_kw), (ppt_args, ppt_kw) = self.fig2_inputs(monkeypatch)
+    def test_eig_calls_per_iteration_independent_of_block_count(
+        self, monkeypatch, engine_calls
+    ):
+        (gen_args, gen_kw), (ppt_args, ppt_kw) = self.fig2_inputs(engine_calls)
         assert (len(gen_args[0]), len(ppt_args[0])) == (1, 2)
         per_iter = set()
         for args, kwargs in ((gen_args, gen_kw), (ppt_args, ppt_kw)):
@@ -299,18 +283,16 @@ class TestOneCopy:
     # without keeping a reference.
 
     @staticmethod
-    def ext3_inputs(monkeypatch):
+    def ext3_inputs(engine_calls):
         rng = np.random.default_rng(72)
         rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
         spec = ws.CostSpec((qs.random_hermitian(2, rng),), "dpt")
-        ((args, _),) = engine_calls(
-            monkeypatch,
-            lambda: ws.distance_squared(rho, sigma, spec, cp.ppt_extension(3)),
-        )
+        ws.distance_squared(rho, sigma, spec, cp.ppt_extension(3))
+        ((args, _),) = engine_calls
         return args[:3]
 
-    def test_traced_peak_is_a_few_constraint_matrices(self, monkeypatch):
-        costs, stacks, b = self.ext3_inputs(monkeypatch)
+    def test_traced_peak_is_a_few_constraint_matrices(self, engine_calls):
+        costs, stacks, b = self.ext3_inputs(engine_calls)
         matrix_bytes = 8 * len(b) * sum(len(c) ** 2 for c in costs)
         tracemalloc.start()
         try:
@@ -323,8 +305,8 @@ class TestOneCopy:
         assert res.status == "Optimal"
         assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
 
-    def test_unreferenced_stacks_freed_before_respan(self, monkeypatch):
-        costs, stacks, b = self.ext3_inputs(monkeypatch)
+    def test_unreferenced_stacks_freed_before_respan(self, monkeypatch, engine_calls):
+        costs, stacks, b = self.ext3_inputs(engine_calls)
         refs, alive = [], []
         svd = np.linalg.svd
 
