@@ -29,11 +29,11 @@ PPT actually coincides with separability at the given dimension.
 Problems are posed in compressed coordinates X = (T_1 x T_2) Y (T_1 x
 T_2)^dag, which is exact: couplings are automatically supported on
 supp(marg1) x supp(marg2) (facial reduction), and partial transposes
-conjugate covariantly.  A marginal V diag(lam) V^dag gets T = V diag(lam)^p,
-p = 1/4 for n = 1: the product coupling and the near-diagonal optimum of
-a nearly singular marginal then both have entries of order lam^(1/2), and
-neither they nor the dual potentials grow like 1/lam.  Extensions keep
-the support isometry, p = 0.
+conjugate covariantly.  A marginal V diag(lam) V^dag, its state's support,
+gets T = V diag(lam)^p, p = 1/4 for n = 1: the product coupling and the
+near-diagonal optimum of a nearly singular marginal then both have entries
+of order lam^(1/2), and neither they nor the dual potentials grow like
+1/lam.  Extensions keep the support isometry, p = 0.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .errors import (
 from .qstates import DensityMatrix, as_density, flip_operator, symmetric_isometry
 
 PPT_EXTENSION_CAP = 3
-SUPPORT_CUTOFF = 1e-12
 # Extensions whose compile-time data would exceed this many bytes are
 # refused up front (see extension_memory_estimate).
 EXTENSION_MEMORY_BUDGET = 2 * 1024**3
@@ -224,11 +223,12 @@ class _MarginalFactor:
         return len(self.lam)
 
 
-def _marginal_factor(mat: np.ndarray, p: float) -> _MarginalFactor:
-    eig = linalg.eig_hermitian(mat)
-    keep = eig.eigenvalues > SUPPORT_CUTOFF
-    lam = eig.eigenvalues[keep]
-    v = eig.eigenvectors[:, keep]
+def _marginal_factor(state: DensityMatrix, p: float, transpose: bool):
+    """Compression data for the state's support, or for its transpose's:
+    the conjugate, with the same eigenvalues and conjugated eigenvectors."""
+    lam, v = state.support.eigenvalues, state.support.eigenvectors
+    if transpose:
+        v = v.conj()
     return _MarginalFactor(
         v * lam**p,
         np.diag(lam ** (2 * p)).astype(complex),
@@ -350,8 +350,8 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
     # Scaled by lam^(1/4), an extension's middle copies would carry the
     # weights g, and its solves take more iterations.
     p = 0.25 if n == 1 else 0.0
-    f1 = _marginal_factor(marg1, p)
-    f2 = f1 if kind == "symmetric_ppt" else _marginal_factor(marg2, p)
+    f1 = _marginal_factor(rho, p, convention == "dpt")
+    f2 = f1 if kind == "symmetric_ppt" else _marginal_factor(sigma, p, False)
     r1, r2 = f1.rank, f2.rank
     if n > 1:
         need = extension_memory_estimate(r1, r2, n)

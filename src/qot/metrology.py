@@ -11,11 +11,11 @@ Conventions for the generalized family:
     var_f          = (1/2) sum_{kl} m_f(l_k, l_l)/m_f(1,0) |H_kl|^2
                      - <H>^2 / (2 m_f(1,0))
 
-with m_f(a, b) = a f(b/a) the operator mean of f.  Terms whose eigenvalue
-pair lies in the kernel of rho (l_k + l_l below support_tol) are skipped;
-pairs closer than deg_tol are treated as degenerate and take the zero
-branch of every kernel, which is consistent because the (l_k - l_l)^2
-numerators vanish there anyway.
+with m_f(a, b) = a f(b/a) the operator mean of f.  Eigenvalues off the
+state's support (qstates.SUPPORT_TOL) are 0, so terms whose eigenvalue
+pair lies in the kernel of rho vanish; pairs closer than DEG_TOL are
+treated as degenerate and take the zero branch of every kernel, which is
+consistent because the (l_k - l_l)^2 numerators vanish there anyway.
 """
 
 from __future__ import annotations
@@ -30,21 +30,21 @@ from .errors import DimensionMismatch, IrregularFunction, NotHermitian
 from .qstates import HermitianOperator, as_density, as_operator
 
 DEG_TOL = 1e-9
-SUPPORT_TOL = 1e-12
 
 
 def _pair(rho, h):
+    """The admitted state and the operator's matrix."""
     r = as_density(rho)
     op = as_operator(h)
     if r.dim != op.dim:
         raise DimensionMismatch(f"state dim {r.dim} != operator dim {op.dim}")
-    return r.matrix, op.matrix
+    return r, op.matrix
 
 
 def expectation(rho, h) -> float:
     """<H>_rho = Tr(rho H)."""
-    rm, hm = _pair(rho, h)
-    val = np.trace(rm @ hm)
+    r, hm = _pair(rho, h)
+    val = np.trace(r.matrix @ hm)
     if abs(val.imag) > 1e-10:
         raise NotHermitian(f"imaginary expectation residue {val.imag:.3e}")
     return float(val.real)
@@ -52,17 +52,16 @@ def expectation(rho, h) -> float:
 
 def variance(rho, h) -> float:
     """(Delta H)^2_rho = <H^2> - <H>^2."""
-    rm, hm = _pair(rho, h)
-    mean = np.trace(rm @ hm).real
-    return float(np.trace(rm @ hm @ hm).real - mean**2)
+    r, hm = _pair(rho, h)
+    mean = np.trace(r.matrix @ hm).real
+    return float(np.trace(r.matrix @ hm @ hm).real - mean**2)
 
 
 def _spectrum(rho, h):
-    """Eigenvalues of rho clipped at 0, its eigenvectors, and <k|H|l>."""
-    rm, hm = _pair(rho, h)
-    eig = linalg.eig_hermitian(rm)
-    v = eig.eigenvectors
-    return np.clip(eig.eigenvalues, 0.0, None), v, v.conj().T @ hm @ v
+    """Eigenvalues of rho, 0 off its support, its eigenvectors, and <k|H|l>."""
+    r, hm = _pair(rho, h)
+    v = r.spectrum.eigenvectors
+    return r.spectrum.eigenvalues, v, v.conj().T @ hm @ v
 
 
 def qfi(rho, h) -> float:
@@ -71,7 +70,7 @@ def qfi(rho, h) -> float:
     lam, _, h_eig = _spectrum(rho, h)
     num = np.subtract.outer(lam, lam) ** 2
     den = np.add.outer(lam, lam)
-    mask = den > SUPPORT_TOL
+    mask = den > 0.0
     terms = np.zeros_like(num)
     terms[mask] = num[mask] / den[mask]
     return float(2.0 * np.sum(terms * np.abs(h_eig) ** 2))
@@ -80,14 +79,13 @@ def qfi(rho, h) -> float:
 def skew_information(rho, h) -> float:
     """Wigner-Yanase skew information Tr(H^2 rho) - Tr(H sqrt(rho) H sqrt(rho)).
 
-    Eigenvalues at or below SUPPORT_TOL count as 0: the square root would
-    turn their roundoff into an error of its square root."""
-    rm, hm = _pair(rho, h)
-    eig = linalg.eig_hermitian(rm)
-    lam = np.where(eig.eigenvalues > SUPPORT_TOL, eig.eigenvalues, 0.0)
-    sqrt_rho = (eig.eigenvectors * np.sqrt(lam)) @ eig.eigenvectors.conj().T
+    Eigenvalues off the support count as 0: the square root would turn
+    their roundoff into an error of its square root."""
+    r, hm = _pair(rho, h)
+    v = r.spectrum.eigenvectors
+    sqrt_rho = (v * np.sqrt(r.spectrum.eigenvalues)) @ v.conj().T
     return float(
-        np.trace(hm @ hm @ rm).real - np.trace(hm @ sqrt_rho @ hm @ sqrt_rho).real
+        np.trace(hm @ hm @ r.matrix).real - np.trace(hm @ sqrt_rho @ hm @ sqrt_rho).real
     )
 
 
@@ -142,9 +140,8 @@ def gen_qfi(rho, h, f: MonotoneFunction) -> float:
     """Generalized quantum Fisher information for a regular f."""
     f.require_regular()
     lam, _, h_eig = _spectrum(rho, h)
-    support = np.add.outer(lam, lam) > SUPPORT_TOL
     terms = _x_kernel(lam, f) ** 2 * np.subtract.outer(lam, lam) ** 2
-    return float(2.0 * np.sum(terms[support] * np.abs(h_eig[support]) ** 2))
+    return float(2.0 * np.sum(terms * np.abs(h_eig) ** 2))
 
 
 def gen_variance(rho, h, f: MonotoneFunction) -> float:
@@ -174,8 +171,7 @@ def conversion_matrix(rho, f1: MonotoneFunction, f2: MonotoneFunction):
     """
     f1.require_regular()
     f2.require_regular()
-    eig = linalg.eig_hermitian(as_density(rho).matrix)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
+    lam = as_density(rho).spectrum.eigenvalues
     x1, x2 = _x_kernel(lam, f1), _x_kernel(lam, f2)
     q = np.zeros_like(x1)
     ok = (np.abs(np.subtract.outer(lam, lam)) >= DEG_TOL) & (x2 > 0.0)

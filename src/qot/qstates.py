@@ -3,7 +3,7 @@
 Paulis, SU(d) generators in the generalized Gell-Mann basis, angular
 momentum operators from the ladder-operator formula, maximally entangled
 states, the flip operator and the symmetric-subspace isometry, plus the
-density-matrix admission check used by every consumer of state data.
+density-matrix admission, whose spectrum every consumer of state data reads.
 
 Transposes throughout the package are taken in the computational basis;
 the basis is part of the public contract because the transport-cost
@@ -25,6 +25,9 @@ from .errors import (
     NotPSD,
     NotUnitTrace,
 )
+
+# A state's eigenvalues at or below this are off its support.
+SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,28 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one PSD Hermitian operator."""
+    """Trace-one PSD Hermitian operator, decomposed once on admission:
+    ``spectrum`` has the eigenvalues off the support set to 0, ascending,
+    and ``support`` keeps the eigenpairs on it."""
 
     op: HermitianOperator
+    spectrum: linalg.EigenDecomposition = field(init=False, repr=False, compare=False)
+    support: linalg.EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.op.matrix
         tr = np.trace(m).real
         if abs(tr - 1.0) > 1e-10:
             raise NotUnitTrace(f"trace is {tr!r}, deviates by {abs(tr - 1.0):.3e}")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < linalg.PSD_FLOOR:
-            raise NotPSD(f"minimum eigenvalue {lam_min:.3e} below PSD floor")
+        eig = linalg.eig_hermitian(m)
+        lam, v = eig.eigenvalues, eig.eigenvectors
+        if lam[0] < linalg.PSD_FLOOR:
+            raise NotPSD(f"minimum eigenvalue {lam[0]:.3e} below PSD floor")
+        keep = lam > SUPPORT_TOL
+        cut = linalg.EigenDecomposition(np.where(keep, lam, 0.0), v)
+        on = linalg.EigenDecomposition(lam[keep], v[:, keep])
+        object.__setattr__(self, "spectrum", cut)
+        object.__setattr__(self, "support", on)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -16,9 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EnsembleMismatch
-from .qstates import as_density
-
-KERNEL_CUTOFF = 1e-10
+from .qstates import SUPPORT_TOL, DensityMatrix, as_density
 
 
 @dataclass(frozen=True)
@@ -70,13 +68,6 @@ class KrausChannel:
         return acc
 
 
-def _inv_sqrt_on_support(m: np.ndarray) -> np.ndarray:
-    eig = linalg.eig_hermitian(m)
-    w = eig.eigenvalues
-    inv = np.where(w > KERNEL_CUTOFF, 1.0 / np.sqrt(np.clip(w, KERNEL_CUTOFF, None)), 0.0)
-    return (eig.eigenvectors * inv) @ eig.eigenvectors.conj().T
-
-
 def build_channel(ensemble: Ensemble, rho) -> KrausChannel:
     """Kraus operators B_k = sqrt(p_k) |Phi_k><Psi_k| rho^{-1/2}.
 
@@ -90,7 +81,8 @@ def build_channel(ensemble: Ensemble, rho) -> KrausChannel:
             "ensemble does not reconstruct the source state "
             f"(defect {np.linalg.norm(recon - rho.matrix):.3e})"
         )
-    inv_sqrt = _inv_sqrt_on_support(rho.matrix)
+    v = rho.support.eigenvectors
+    inv_sqrt = (v * (1.0 / np.sqrt(rho.support.eigenvalues))) @ v.conj().T
     ops = []
     for k, p in enumerate(ensemble.weights):
         a_k = np.outer(ensemble.targets[:, k], ensemble.sources[:, k].conj())
@@ -120,14 +112,12 @@ def apply_on_second_factor(channel: KrausChannel, x12, dims) -> np.ndarray:
     return out
 
 
-def _pairs_from_eigenvectors(cm, d1, d2):
-    """Factor every eigenvector as a product; only safe for couplings with
-    a non-degenerate nonzero spectrum."""
-    eig = linalg.eig_hermitian(cm)
+def _pairs_from_eigenvectors(coupling: DensityMatrix, d1, d2):
+    """Factor every eigenvector of the support as a product; only safe for
+    couplings with a non-degenerate nonzero spectrum."""
     pairs = []
-    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam < 1e-12:
-            continue
+    sup = coupling.support
+    for lam, vec in zip(sup.eigenvalues, sup.eigenvectors.T):
         m = vec.reshape(d1, d2)  # vec = a x b  <=>  m = a b^T
         u, s, vh = np.linalg.svd(m)
         if s.size > 1 and s[1] > 1e-8:
@@ -167,7 +157,7 @@ def _pairs_from_product_diagonal(cm, d1, d2, seed):
         for j in range(d2):
             v = np.kron(basis1[:, i], basis2[:, j])
             q = float(np.real(v.conj() @ cm @ v))
-            if q < 1e-12:
+            if q <= SUPPORT_TOL:
                 continue
             pairs.append((q, basis1[:, i], basis2[:, j]))
             recon += q * np.outer(v, v.conj())
@@ -190,19 +180,19 @@ def ensemble_from_coupling(coupling, dims, convention: str = "gmpc") -> Ensemble
     the first factor is conjugated before use as the source vector.
     """
     d1, d2 = dims
-    cm = as_density(coupling, dims).matrix
+    state = as_density(coupling, dims)
     try:
-        pairs = _pairs_from_eigenvectors(cm, d1, d2)
+        pairs = _pairs_from_eigenvectors(state, d1, d2)
         recon = sum(
             q * np.outer(np.kron(a, b), np.kron(a, b).conj()) for q, a, b in pairs
         )
-        if np.linalg.norm(recon - cm) > 1e-8:
+        if np.linalg.norm(recon - state.matrix) > 1e-8:
             raise EnsembleMismatch("eigenvector factoring lost weight")
     except EnsembleMismatch:
         pairs = None
         for seed in (1, 2):
             try:
-                pairs = _pairs_from_product_diagonal(cm, d1, d2, seed)
+                pairs = _pairs_from_product_diagonal(state.matrix, d1, d2, seed)
                 break
             except EnsembleMismatch:
                 continue

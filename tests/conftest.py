@@ -1,9 +1,10 @@
 """Suite-wide settings and fixtures.
 
 Hypothesis draws the same examples on every run.  ``engine_calls`` spies on
-the SDP engine.
+the SDP engine, and ``eigh_calls`` on NumPy's Hermitian eigensolvers.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -26,4 +27,20 @@ def engine_calls(monkeypatch):
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(sdp, "solve_blocks", spy)
+    return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that receives the name and input shape of every call to
+    ``np.linalg.eigh`` or ``np.linalg.eigvalsh`` for the rest of the test;
+    the decompositions themselves still run."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def spy(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     return calls

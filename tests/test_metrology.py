@@ -50,15 +50,19 @@ class TestQfiAndSkew:
 
     def test_pure_skew_equals_variance(self):
         # sqrt(rho) = rho on a pure state; square roots of the roundoff
-        # eigenvalues of its kernel would move I_WY by up to 1e-7
+        # eigenvalues of its kernel would move I_WY by up to 1e-7, and the
+        # generalized family's kernels, built on those eigenvalues, by up
+        # to 4e-7
         rng = np.random.default_rng(42)
         for d in (2, 3, 4):
             for _ in range(40):
                 psi = qs.random_pure(d, rng)
                 h = qs.random_hermitian(d, rng)
-                assert mt.skew_information(psi, h) == pytest.approx(
-                    mt.variance(psi, h), abs=1e-12
-                ), d
+                var = mt.variance(psi, h)
+                assert mt.skew_information(psi, h) == pytest.approx(var, abs=1e-12), d
+                for f in (mt.F_MAX, mt.F_WY):
+                    assert mt.gen_qfi(psi, h, f) == pytest.approx(4 * var, abs=1e-12)
+                    assert mt.gen_variance(psi, h, f) == pytest.approx(var, abs=1e-12)
 
     def test_pseudo_pure_formula(self):
         # F_Q[p psi + (1-p) I/d] = p^2 / (p + 2(1-p)/d) * 4 var_psi(H)

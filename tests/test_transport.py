@@ -96,6 +96,25 @@ class TestBuildChannel:
         assert np.linalg.norm(tp.apply(ch, rho.matrix) - e.target_state()) < 1e-7
 
 
+class TestOneSupport:
+    @pytest.mark.parametrize("eps", [5e-11, 5e-13])
+    def test_state_compiler_and_channel_share_the_support(self, eps):
+        # A cut of its own at 1e-10 once gave the channel rank 2 at
+        # eps = 5e-11, where the compiler kept rank 3.
+        rho = qs.validate_density(np.diag([0.6, 0.4 - eps, eps]))
+        sup = rho.support
+        rank = len(sup.eigenvalues)
+        assert rank == (3 if eps > qs.SUPPORT_TOL else 2)
+        problem = cp.build(rho, rho, cp.GENERAL, "gmpc")
+        assert problem.var_cdim == rank**2
+        compressed = "variable compressed to marginal supports (2 x 2)"
+        assert (compressed in problem.notes) == (rank == 2)
+        w = sup.eigenvalues / sup.eigenvalues.sum()
+        ch = tp.build_channel(tp.Ensemble(w, sup.eigenvectors, sup.eigenvectors), rho)
+        proj = sup.eigenvectors @ sup.eigenvectors.conj().T
+        assert np.linalg.norm(ch.support_projector() - proj) < 1e-8
+
+
 class TestCouplingRoundTrip:
     def test_gmpc_round_trip_orthogonal(self):
         rng = np.random.default_rng(96)

@@ -661,3 +661,73 @@ class TestRealData:
         assert certified(turned), turned.diagnostics
         gaps = real.diagnostics["gap"] + turned.diagnostics["gap"]
         assert abs(real.value - turned.value) <= gaps
+
+
+def assert_within_gap(res, want, label):
+    """The solve ends Optimal with its value within its own gap of want."""
+    diag = res.diagnostics
+    assert diag["status"] == "Optimal", (label, diag)
+    assert abs(res.value - want) <= diag["gap"], (label, res.value - want, diag)
+
+
+class TestSelfDistanceIdentities:
+    # The paper's self-distances: under DPT the general one is the
+    # Wigner-Yanase skew information, and under GMPC the separable one is
+    # F_Q/4.  PPT only bounds separability for d >= 3, but is measured, not
+    # proven, to be tight here.  Every other state has rank d - 1, whose
+    # closed forms read the support cut the compiler compresses with.  Each
+    # value sits within its own gap of the closed form.
+    @pytest.mark.parametrize("d, count", [(3, 6), (4, 4)])
+    def test_general_is_skew_and_ppt_is_qfi_over_4(self, d, count):
+        rng = np.random.default_rng([13, d])
+        for i in range(count):
+            rho = qs.random_density(d, rng, rank=d - i % 2)
+            h = qs.random_hermitian(d, rng)
+            general = ws.distance_squared(rho, rho, ws.CostSpec((h,), "dpt"), cp.GENERAL)
+            assert_within_gap(general, mt.skew_information(rho, h), (i, "general"))
+            ppt = ws.distance_squared(rho, rho, ws.CostSpec((h,), "gmpc"), cp.PPT)
+            assert_within_gap(ppt, mt.qfi(rho, h) / 4, (i, "ppt"))
+
+    def test_extension_is_qfi_over_4(self):
+        rng = np.random.default_rng([13, 3, 2])
+        for i in range(3):
+            rho = qs.random_density(3, rng)
+            h = qs.random_hermitian(3, rng)
+            spec = ws.CostSpec((h,), "gmpc")
+            res = ws.distance_squared(rho, rho, spec, cp.ppt_extension(2))
+            assert_within_gap(res, mt.qfi(rho, h) / 4, i)
+
+
+class TestSupportCut:
+    # One cut, qstates.SUPPORT_TOL, decides both the eigenvalues the
+    # compiler compresses away and those the closed forms count as 0.
+    # I_WY moves by O(sqrt(eps)) with a dropped eigenvalue eps, so two cuts
+    # that disagree near 1e-12 miss it by many times the gap.
+    EPS = (1e-10, 1e-11, 3e-12, 1.5e-12, 1e-12, 9e-13, 5e-13, 1e-13, 1e-14, 1e-15)
+
+    def test_sweep_across_the_cut(self):
+        rng = np.random.default_rng(12)
+        for frame in range(6):
+            u = random_unitary(3, rng)
+            h = qs.random_hermitian(3, rng)
+            for eps in self.EPS:
+                rho = dm((u * [0.6, 0.4 - eps, eps]) @ u.conj().T)
+                cases = (
+                    (cp.GENERAL, "dpt", mt.skew_information(rho, h)),
+                    (cp.PPT, "gmpc", mt.qfi(rho, h) / 4),
+                )
+                for cset, conv, want in cases:
+                    res = ws.distance_squared(rho, rho, ws.CostSpec((h,), conv), cset)
+                    assert_within_gap(res, want, (frame, eps, cset.kind))
+
+    def test_solve_reads_the_admitted_spectrum(self, eigh_calls):
+        # The compiler compresses with the eigendecompositions the states
+        # got on admission, and decomposes no d x d matrix of its own.
+        rng = np.random.default_rng(14)
+        rho, sigma = qs.random_density(3, rng), qs.random_density(3, rng)
+        spec = ws.CostSpec((qs.random_hermitian(3, rng),), "dpt")
+        eigh_calls.clear()
+        for cset in (cp.GENERAL, cp.PPT):
+            assert certified(ws.distance_squared(rho, sigma, spec, cset))
+        assert eigh_calls
+        assert [c for c in eigh_calls if c[1] == (3, 3)] == []
