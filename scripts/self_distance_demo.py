@@ -38,8 +38,7 @@ def run(argv=None):
     print()
     print(f"{'coupling set':<12} {'self-distance^2':>16} {'closed form':>14}")
     for row in ws.self_distance_table(rho, h):
-        closed = "" if row["closed_form"] is None else f"{row['closed_form']:.8f}"
-        print(f"{row['set']:<12} {row['value']:>16.8f} {closed:>14}")
+        print(f"{row['set']:<12} {row['value']:>16.8f} {row['closed_form']:>14.8f}")
 
     rep = ent.wasserstein_verdict(rho, rho, ws.CostSpec((h,), "dpt"))
     print()

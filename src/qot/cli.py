@@ -96,7 +96,7 @@ def load_operator_file(path: str):
 def _load_density(path: str):
     mat, dims = load_operator_file(path)
     try:
-        return as_density(validate_density(mat, dims))
+        return validate_density(mat, dims)
     except QotError as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
@@ -160,11 +160,11 @@ def _sweep_point(phi: float):
     return general.value, ppt.value, ok
 
 
-def _bisect_phi0(lo: float, hi: float, tol: float = 1e-9) -> float | None:
-    """Locate the crossing where the PPT-general gap reaches the
+def _bisect_phi0(lo: float, hi: float) -> float | None:
+    """Locate, to 1e-9, the crossing where the PPT-general gap reaches the
     coincidence threshold; gap(lo) > threshold >= gap(hi).  Returns None
     when a solve along the way is not certified."""
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = (lo + hi) / 2
         g, p, ok = _sweep_point(mid)
         if not ok:

@@ -54,19 +54,18 @@ def _fro(a: np.ndarray):
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
-def check_hermitian(
-    a, tol: float = HERMITICITY_TOL, stack: bool = False
-) -> np.ndarray:
+def check_hermitian(a, stack: bool = False) -> np.ndarray:
     """Complex copy of a Hermitian matrix (or, with ``stack``, of a stack
     of them, each judged on its own)."""
     m = as_complex_matrix(a, stack)
     if m.shape[-2] != m.shape[-1]:
         raise NotHermitian(f"matrix is {m.shape[-2]}x{m.shape[-1]}, not square")
     defect = hermiticity_defect(m)
-    if np.any(defect > tol):
+    if np.any(defect > HERMITICITY_TOL):
         where = "" if m.ndim == 2 else f" at stack index {np.argmax(defect)}"
         raise NotHermitian(
-            f"Hermiticity defect {np.max(defect):.3e}{where} exceeds {tol:.1e}"
+            f"Hermiticity defect {np.max(defect):.3e}{where} exceeds "
+            f"{HERMITICITY_TOL:.1e}"
         )
     return m
 
@@ -91,14 +90,13 @@ class EigenDecomposition:
 def eig_hermitian(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian when the input fails the Hermiticity check and
-    NoConvergence when the underlying iteration gives up.  No ordering is
-    promised for eigenvectors inside a degenerate cluster beyond
-    orthonormality.
+    The input is trusted, not judged: it is an admitted operator's matrix
+    or one its caller built Hermitian.  Raises NoConvergence when the
+    iteration gives up.  No ordering is promised for eigenvectors inside a
+    degenerate cluster beyond orthonormality.
     """
-    m = check_hermitian(a)
     try:
-        w, v = np.linalg.eigh(hermitize(m))
+        w, v = np.linalg.eigh(hermitize(np.asarray(a, dtype=complex)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

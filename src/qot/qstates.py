@@ -32,7 +32,8 @@ SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian matrix together with its subsystem dimensions."""
+    """A Hermitian matrix together with its subsystem dimensions; the one
+    place a matrix entering the package is judged Hermitian."""
 
     matrix: np.ndarray
     dims: tuple = field(default=())

@@ -117,7 +117,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _reduce_constraints(a_flat, b, rank_tol=1e-12):
+def _reduce_constraints(a_flat, b):
     """Re-span constraint rows with an orthonormal independent set.
 
     Returns (rows, b_reduced): ``rows`` has orthonormal rows spanning the
@@ -125,7 +125,7 @@ def _reduce_constraints(a_flat, b, rank_tol=1e-12):
     exact for the consistent system the caller guarantees.
     """
     u, s, vt = np.linalg.svd(a_flat, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     return vt[:rank], (u[:, :rank].T @ b) / s[:rank]
 
 

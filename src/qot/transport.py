@@ -144,12 +144,8 @@ def _pairs_from_product_diagonal(cm, d1, d2, seed):
     r2 = linalg.hermitize(
         rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
     )
-    probe1 = linalg.hermitize(
-        linalg.partial_trace(cm @ np.kron(np.eye(d1), r2), 2, (d1, d2))
-    )
-    probe2 = linalg.hermitize(
-        linalg.partial_trace(np.kron(r1, np.eye(d2)) @ cm, 1, (d1, d2))
-    )
+    probe1 = linalg.partial_trace(cm @ np.kron(np.eye(d1), r2), 2, (d1, d2))
+    probe2 = linalg.partial_trace(np.kron(r1, np.eye(d2)) @ cm, 1, (d1, d2))
     basis1 = linalg.eig_hermitian(probe1).eigenvectors
     basis2 = linalg.eig_hermitian(probe2).eigenvectors
     pairs, recon = [], np.zeros_like(cm)

@@ -115,15 +115,15 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     set has one.  ``problem.eq_rows`` and ``problem.subspace`` are released
     once their real coordinates are taken.
 
-    A problem whose cost and witness are real is solved over real
-    symmetric variables.  Complex conjugation maps every coupling set onto
-    itself and keeps a real cost, so the average of an optimum and its
-    conjugate is a real optimum.  The marginal rows are real or imaginary
-    (g and m are real diagonal), and so are the class-basis rows of the
-    subspace; only the real ones, on the first n(n + 1)/2 coordinates,
-    constrain a real variable."""
+    A problem whose lifted cost is real is solved over real symmetric
+    variables (every witness is real).  Complex conjugation maps every
+    coupling set onto itself and keeps a real cost, so the average of an
+    optimum and its conjugate is a real optimum.  The marginal rows are
+    real or imaginary (g and m are real diagonal), and so are the
+    class-basis rows of the subspace; only the real ones, on the first
+    n(n + 1)/2 coordinates, constrain a real variable."""
     n = problem.var_cdim
-    real = not (c_var.imag.any() or problem.feasible_witness.imag.any())
+    real = not c_var.imag.any()
     keep = n * (n + 1) // 2 if real else n * n
 
     def full(vec):
@@ -173,7 +173,7 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
 
 
 def _clean_coupling(raw: np.ndarray, d: int) -> DensityMatrix:
-    eig = linalg.eig_hermitian(linalg.hermitize(raw))
+    eig = linalg.eig_hermitian(raw)
     lam = np.clip(eig.eigenvalues, 0.0, None)
     mat = (eig.eigenvectors * lam) @ eig.eigenvectors.conj().T
     mat /= np.trace(mat).real
@@ -325,7 +325,7 @@ def self_distance_table(rho, h, options=None) -> list:
             "set": "ppt",
             "convention": "gmpc",
             "value": res.value,
-            "closed_form": fq4 if d == 2 else None,
+            "closed_form": fq4,
             "identity": "qfi_over_4" if d == 2 else "qfi_over_4_upper_bound",
             "diagnostics": res.diagnostics,
         }

@@ -1,14 +1,15 @@
 """Suite-wide settings and fixtures.
 
 Hypothesis draws the same examples on every run.  ``engine_calls`` spies on
-the SDP engine, and ``eigh_calls`` on NumPy's Hermitian eigensolvers.
+the SDP engine, ``eigh_calls`` on NumPy's Hermitian eigensolvers, and
+``hermiticity_checks`` on the package's one Hermiticity judge.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from qot import sdp
+from qot import linalg, sdp
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -43,4 +44,20 @@ def eigh_calls(monkeypatch):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.fixture
+def hermiticity_checks(monkeypatch):
+    """A list that receives the input shape of every call to
+    ``linalg.check_hermitian`` for the rest of the test, whether made
+    through the module or from inside ``linalg``; the check still runs."""
+    calls = []
+    check = linalg.check_hermitian
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return check(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "check_hermitian", spy)
     return calls

@@ -121,6 +121,15 @@ class TestDistance:
         rc = main(["distance", "--rho", bad, "--sigma", bad, "--obs", sz_file])
         assert rc == 1
 
+    def test_non_hermitian_observable_exits_1(self, tmp_path, mixed_file, capsys):
+        bad = write_operator(tmp_path / "nonherm.json", [[0.0, 1.0], [0.0, 0.0]], [2])
+        rc = main(
+            ["distance", "--rho", mixed_file, "--sigma", mixed_file, "--obs", bad]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: Hermiticity defect")
+
     def test_missing_file_exits_1(self, sz_file):
         rc = main(
             ["distance", "--rho", "/nonexistent.json", "--sigma", sz_file,

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qot import cli
+from qot import coupling as cp
 from qot import qstates as qs
-from qot.errors import InvalidSpin, MarginalMismatch, NotPSD, NotUnitTrace
+from qot import wasserstein as ws
+from qot.errors import (
+    InvalidSpin,
+    MarginalMismatch,
+    NotHermitian,
+    NotPSD,
+    NotUnitTrace,
+)
 from qot.linalg import partial_trace
 from qot.metrology import variance
 
@@ -138,6 +147,34 @@ class TestValidateDensity:
     def test_rejects_wrong_trace(self):
         with pytest.raises(NotUnitTrace):
             qs.validate_density(np.diag([0.6, 0.6]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            qs.validate_density(np.array([[0.5, 0.1], [0.0, 0.5]]))
+        with pytest.raises(NotHermitian):
+            qs.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestOneJudgement:
+    # Hermiticity is judged once per matrix, when it becomes a
+    # HermitianOperator; the engine boundary (linalg.realify) judges its
+    # blocks again, and no kernel in between does.
+    def test_admitting_a_state_judges_once(self, hermiticity_checks):
+        rho = qs.random_density(3, np.random.default_rng(3)).matrix
+        hermiticity_checks.clear()
+        qs.validate_density(rho)
+        assert hermiticity_checks == [(3, 3)]
+
+    def test_fig2_op(self, hermiticity_checks):
+        # The sweep point admits sigma_y and its two states (3); each solve
+        # judges its engine blocks, a cost block and a constraint stack per
+        # cone, and admits its coupling: 3 for general, 5 for PPT.
+        spec = ws.CostSpec((qs.pauli("z"),), "dpt")
+        hermiticity_checks.clear()
+        rho, sigma = cli.example_states(0.6)
+        for cset in (cp.GENERAL, cp.PPT):
+            ws.distance_squared(rho, sigma, spec, cset)
+        assert len(hermiticity_checks) == 11
 
 
 @settings(max_examples=20, deadline=None)
