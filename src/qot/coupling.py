@@ -185,11 +185,14 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     r2^2 C(r1^2 + n - 1, n) rows of the variable's real dimension, and the
     elimination's right singular vectors lifted through it; the r1^2 + r2^2
     marginal rows, complex and in real coordinates; and the engine's
-    constraint data.  That is four copies of the realified free
-    directions, one (2 nc)^2 block per cone: the caller's stacks (freed
-    before the engine's SVD unless another reference holds them), the
-    engine's flat copy, and the SVD's input copy and V^T; plus U and the
-    SVD workspace, eight free x free matrices.
+    constraint data, counted as four copies of the realified free
+    directions, one (2 nc)^2 block per cone, and eight free x free
+    matrices.  The engine holds at most three such copies at once: the
+    caller's stacks (freed before the re-span unless another reference
+    holds them), its flat copy and the re-spanned rows; and four such
+    matrices: the Gram matrix of the rows, its two SVD factors and the
+    transform.  The rest is headroom: the traced peak of d = 3, n = 2 is
+    about half the estimate.
     """
     nc = r1**n * r2
     var = nc * nc  # real dimension of the variable

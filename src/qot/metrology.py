@@ -48,11 +48,17 @@ def expectation(rho, h) -> float:
     return float(np.trace(r.matrix @ hm).real)
 
 
-def variance(rho, h) -> float:
-    """(Delta H)^2_rho = <H^2> - <H>^2."""
+def _centred(rho, h):
+    """The admitted state and H - <H> 1.  Second moments of the centred
+    operator do not cancel when H carries a large multiple of 1."""
     r, hm = _pair(rho, h)
-    mean = np.trace(r.matrix @ hm).real
-    return float(np.trace(r.matrix @ hm @ hm).real - mean**2)
+    return r, hm - np.trace(r.matrix @ hm).real * np.eye(len(hm))
+
+
+def variance(rho, h) -> float:
+    """(Delta H)^2_rho = Tr(rho (H - <H>)^2)."""
+    r, hc = _centred(rho, h)
+    return float(np.trace(r.matrix @ hc @ hc).real)
 
 
 def _spectrum(rho, h):
@@ -75,15 +81,16 @@ def qfi(rho, h) -> float:
 
 
 def skew_information(rho, h) -> float:
-    """Wigner-Yanase skew information Tr(H^2 rho) - Tr(H sqrt(rho) H sqrt(rho)).
+    """Wigner-Yanase skew information Tr(H^2 rho) - Tr(H sqrt(rho) H sqrt(rho)),
+    evaluated on the centred H - <H> 1, which leaves it unchanged.
 
     Eigenvalues off the support count as 0: the square root would turn
     their roundoff into an error of its square root."""
-    r, hm = _pair(rho, h)
+    r, hc = _centred(rho, h)
     v = r.spectrum.eigenvectors
     sqrt_rho = (v * np.sqrt(r.spectrum.eigenvalues)) @ v.conj().T
     return float(
-        np.trace(hm @ hm @ r.matrix).real - np.trace(hm @ sqrt_rho @ hm @ sqrt_rho).real
+        np.trace(hc @ hc @ r.matrix).real - np.trace(hc @ sqrt_rho @ hc @ sqrt_rho).real
     )
 
 

@@ -38,13 +38,15 @@ The caller owns consistency: the rows it passes are consistent and admit
 a strictly feasible point, as those of every coupling problem do, since
 each coupling set contains the product coupling; the engine tests
 neither.  Constraints are re-spanned by an orthonormal independent set
-from an SVD.  The engine holds one copy of them: the symmetrised input is
-written into the flat layout once (input stacks with no other reference
-are freed then), and the re-spanned rows, symmetrised in place, replace
-it.  A(.) and A*(.) use np.einsum, which the benchmark's smoke test
-requires; it matches a matrix product at extension sizes and costs about
-1 us more per call at fig2 sizes.  The duality gap is certified as an
-absolute width, ``gap_tol``, whatever the scale of the objective.
+read off the SVD of their m x m Gram matrix (``_reduce_constraints``).
+The engine holds one copy of them: the symmetrised input is written into
+the flat layout once (input stacks with no other reference are freed
+then), and the re-spanned rows, one product of the m x m transform with
+it, symmetrised in place, replace it.  A(.) and A*(.) use np.einsum,
+which the benchmark's smoke test requires; it matches a matrix product
+at extension sizes and costs about 1 us more per call at fig2 sizes.
+The duality gap is certified as an absolute width, ``gap_tol``, whatever
+the scale of the objective.
 
 Every solve starts at y = 0 and X = xi I.  Where the constraints fix
 Tr X (the identity lies in their row span), xi = <A(I), b> / |A(I)|^2 is
@@ -123,10 +125,20 @@ def _reduce_constraints(a_flat, b):
     Returns (rows, b_reduced): ``rows`` has orthonormal rows spanning the
     original row space, and ``b_reduced`` the right-hand sides in them,
     exact for the consistent system the caller guarantees.
+
+    The (m, N) rows A enter through their m x m Gram matrix G = A A^T (one
+    syrk).  Its SVD G = U diag(s^2) U^T gives the rank and the transform
+    T = U_r diag(1/s_r), and rows = T^T A, b_reduced = T^T b (one gemm).
+    The rank keeps the Gram eigenvalues s^2 > 1e-12 s_0^2, i.e. singular
+    values of A above 1e-6 of the largest: the Gram's roundoff floor lies
+    near 1e-16 s_0^2.  The rows are orthonormal to roundoff times the
+    squared condition number of the kept part of A; caller rows are well
+    conditioned (coupling rows arrive orthonormal), so that is roundoff.
     """
-    u, s, vt = np.linalg.svd(a_flat, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    return vt[:rank], (u[:, :rank].T @ b) / s[:rank]
+    u, s2, _ = np.linalg.svd(a_flat @ a_flat.T)
+    rank = int(np.sum(s2 > 1e-12 * s2[0]))
+    t = u[:, :rank] / np.sqrt(s2[:rank])
+    return t.T @ a_flat, t.T @ b
 
 
 def solve_blocks(

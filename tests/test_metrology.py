@@ -32,6 +32,19 @@ class TestMoments:
         assert mt.variance(x_eigenstate(1), SZ) == pytest.approx(1.0)
         assert mt.variance(np.eye(2) / 2, SZ) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shift", [1e4, 1e6])
+    def test_shift_invariance(self, shift):
+        # H and H + b 1 have the same variance and skew information; an
+        # uncentred <H^2> - <H>^2 would lose about 1e-3 of it at b = 1e6
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            rho = qs.random_density(3, rng)
+            h = qs.random_hermitian(3, rng).matrix
+            shifted = h + shift * np.eye(3)
+            for moment in (mt.variance, mt.skew_information):
+                want = moment(rho, h)
+                assert moment(rho, shifted) == pytest.approx(want, rel=1e-9, abs=0)
+
 
 class TestQfiAndSkew:
     def test_pure_state_equality(self):

@@ -8,7 +8,7 @@ from qot import cli, linalg
 from qot import coupling as cp
 from qot import qstates as qs
 from qot import wasserstein as ws
-from qot.sdp import SolveOptions, solve_blocks
+from qot.sdp import SolveOptions, _reduce_constraints, solve_blocks
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 TIGHT = SolveOptions(gap_tol=1e-9)
@@ -306,8 +306,10 @@ class TestOneCopy:
         assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
 
     def test_unreferenced_stacks_freed_before_respan(self, monkeypatch, engine_calls):
+        # the re-span takes one SVD, of the m x m Gram matrix; an SVD of
+        # the m x N rows themselves would hold U, V^T and its workspace
         costs, stacks, b = self.ext3_inputs(engine_calls)
-        refs, alive = [], []
+        refs, alive, shapes = [], [], []
         svd = np.linalg.svd
 
         def fresh_stacks():
@@ -315,11 +317,52 @@ class TestOneCopy:
             refs.extend(weakref.ref(stk) for stk in out)
             return out
 
-        def checked_svd(*args, **kw):
+        def checked_svd(a, *args, **kw):
             alive.append(sum(ref() is not None for ref in refs))
-            return svd(*args, **kw)
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", checked_svd)
         res = solve_blocks(costs, fresh_stacks(), b)
         assert res.status == "Optimal"
         assert alive == [0]
+        assert shapes == [(len(b), len(b))]
+
+
+class TestReduceConstraints:
+    # Seeded (m, N) stacks with a known row space: the re-span must return
+    # orthonormal rows spanning it and the right-hand sides of a consistent
+    # point in them.
+
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(73)
+        base = rng.standard_normal((12, 90))
+        yield "independent", base
+        yield "redundant", np.vstack([base, rng.standard_normal((6, 12)) @ base])
+        yield "rank_deficient", rng.standard_normal((20, 7)) @ rng.standard_normal((7, 90))
+        yield "scaled", base * np.logspace(-1, 1, 12)[:, None]
+
+    def test_rows_orthonormal_spanning_the_input(self):
+        rng = np.random.default_rng(74)
+        for name, a in self.stacks():
+            x = rng.standard_normal(a.shape[1])
+            rows, b_red = _reduce_constraints(a, a @ x)
+            _, s, vt = np.linalg.svd(a, full_matrices=False)
+            ref = vt[s > 1e-10 * s[0]]
+            assert rows.shape == ref.shape, name
+            eye = np.eye(len(rows))
+            assert np.abs(rows @ rows.T - eye).max() <= 1e-11, name
+            assert np.abs(rows.T @ rows - ref.T @ ref).max() <= 1e-11, name
+            assert np.abs(rows @ x - b_red).max() <= 1e-11 * np.abs(b_red).max(), name
+
+    def test_rank_cut(self):
+        # the cut keeps singular values above 1e-6 of the largest (Gram
+        # eigenvalues above 1e-12 of the largest)
+        rng = np.random.default_rng(75)
+        u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        v = np.linalg.qr(rng.standard_normal((40, 5)))[0]
+        s = np.array([3.0, 1.0, 0.5, 2e-6 * 3.0, 5e-7 * 3.0])
+        rows, b_red = _reduce_constraints((u * s) @ v.T, np.zeros(5))
+        assert rows.shape == (4, 40)
+        assert b_red.shape == (4,)
