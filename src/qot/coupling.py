@@ -21,6 +21,15 @@ must all be PSD.  The sets differ only in four parameters:
 So general is the n = 1 member without a cut and ppt the one with it.
 The product set has a closed form (see wasserstein) and is not built here.
 
+Each cone of an extension commutes with a group of permutations of the
+copies: the variable and the last cut with all of them, cut k with those
+within the first k and within the last n - k copies.  By Schur's lemma
+the cone is block diagonal in the subspace its group fixes, Sym^k x
+Sym^(n-k) x C^r2, and that subspace's orthogonal complement, so the cone
+comes with real isometries onto the two blocks and only the blocks must
+be PSD.  The split is exact and changes no value; Bose symmetry, which
+would keep only the variable's symmetric block, is not imposed.
+
 The DPT convention fixes the first marginal to rho^T and the GMPC
 convention to rho; the second marginal is sigma in both.  "separable" is
 accepted as an alias for the PPT set; the exactness flag records whether
@@ -144,10 +153,15 @@ class CouplingProblem:
     space and the variable space.  ``feasible_witness`` is a point of the
     subspace meeting the equalities, PD in every cone.  The solve takes the
     real coordinates of ``eq_rows`` and ``subspace`` and sets both to None.
+
+    ``cone_blocks`` has one entry per cone map: None for a cone that is one
+    block, else the real isometries V onto its diagonal blocks, whose
+    images V^T cone(X) V are what must be PSD (``block_images``).
     """
 
     var_cdim: int
     cone_maps: list
+    cone_blocks: list
     eq_rows: np.ndarray | None
     eq_rhs: np.ndarray
     lift_cost: object
@@ -155,6 +169,25 @@ class CouplingProblem:
     feasible_witness: np.ndarray
     subspace: np.ndarray | None = None
     notes: list = field(default_factory=list)
+
+    def block_images(self, y):
+        """The diagonal blocks of every cone image of y, a variable or a
+        stack of them, cone by cone and in the order of ``cone_blocks``."""
+        for apply, split in zip(self.cone_maps, self.cone_blocks):
+            image = apply(y)
+            if split is None:
+                yield image
+            else:
+                yield from (v.T @ image @ v for v in split)
+
+    def variable(self, blocks):
+        """The variable whose identity-cone blocks lead ``blocks``, an
+        iterable ordered as ``block_images``; the rest is not read."""
+        blocks = iter(blocks)
+        split = self.cone_blocks[0]
+        if split is None:
+            return next(blocks)
+        return sum(v @ next(blocks) @ v.T for v in split)
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,6 +210,32 @@ def _marginal_rows(m1, m2, right, left):
     return rows, rhs
 
 
+@functools.lru_cache(maxsize=None)
+def _cut_blocks(r1: int, r2: int, n: int, k: int):
+    """Real isometries onto the diagonal blocks of a cone on n copies of
+    C^r1 and one of C^r2 that commutes with the permutations within the
+    first k copies and within the last n - k: Sym^k x Sym^(n-k) x C^r2,
+    the vectors that group fixes, and its orthogonal complement (Schur's
+    lemma).  None where the complement is empty and the cone one block.
+    Read-only, as every problem of the same shape shares them."""
+    s1, c1 = symmetric_isometry(r1, k)
+    s2, c2 = symmetric_isometry(r1, n - k)
+    rest = np.hstack([np.kron(s1, c2), np.kron(c1, s2), np.kron(c1, c2)])
+    if rest.shape[1] == 0:
+        return None
+    blocks = (np.kron(np.kron(s1, s2), np.eye(r2)), np.kron(rest, np.eye(r2)))
+    for v in blocks:
+        v.flags.writeable = False
+    return blocks
+
+
+def _extension_blocks(r1: int, r2: int, n: int) -> list:
+    """``cone_blocks`` of an n:1 extension: the variable and the last cut
+    commute with every permutation of the copies, cut k with those within
+    the first k and within the last n - k."""
+    return [_cut_blocks(r1, r2, n, k) for k in (n, *range(1, n + 1))]
+
+
 def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     """Bytes an n:1 extension holds at its peak, build and solve together,
     for marginal ranks r1 and r2.
@@ -186,13 +245,13 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     elimination's right singular vectors lifted through it; the r1^2 + r2^2
     marginal rows, complex and in real coordinates; and the engine's
     constraint data, counted as four copies of the realified free
-    directions, one (2 nc)^2 block per cone, and eight free x free
-    matrices.  The engine holds at most three such copies at once: the
-    caller's stacks (freed before the re-span unless another reference
-    holds them), its flat copy and the re-spanned rows; and four such
-    matrices: the Gram matrix of the rows, its two SVD factors and the
-    transform.  The rest is headroom: the traced peak of d = 3, n = 2 is
-    about half the estimate.
+    directions, one (2 n_b)^2 block per diagonal block of every cone, and
+    eight free x free matrices.  The engine holds at most three such
+    copies at once: the caller's stacks (freed before the re-span unless
+    another reference holds them), its flat copy and the re-spanned rows;
+    and four such matrices: the Gram matrix of the rows, its two SVD
+    factors and the transform.  The rest is headroom: the traced peak of
+    d = 3, n = 2 is about half the estimate.
     """
     nc = r1**n * r2
     var = nc * nc  # real dimension of the variable
@@ -202,7 +261,11 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     free = n_sub - (n_rows - 1)
     subspace = 2 * 8 * n_sub * var
     eq_rows = 16 * n_rows * var + 8 * n_rows * var
-    engine = 8 * (4 * free * (n + 1) * (2 * nc) ** 2 + 8 * free * free)
+    blocks = 0  # the summed squared sizes of the realified blocks
+    for split in _extension_blocks(r1, r2, n):
+        sizes = [nc] if split is None else [v.shape[1] for v in split]
+        blocks += sum((2 * nb) ** 2 for nb in sizes)
+    engine = 8 * (4 * free * blocks + 8 * free * free)
     return subspace + eq_rows + engine
 
 
@@ -383,7 +446,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         f1.m, f2.m, linalg.kron(np.eye(rest), f2.g), linalg.kron(f1.g, np.eye(rest))
     )
 
-    v = symmetric_isometry(r1) if kind == "symmetric_ppt" else None
+    v = symmetric_isometry(r1)[0] if kind == "symmetric_ppt" else None
     if v is not None:
         rows = v.conj().T @ rows @ v
         notes.append("variable compressed to the symmetric subspace")
@@ -427,6 +490,7 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
     return CouplingProblem(
         var_cdim=nc if v is None else v.shape[1],
         cone_maps=cones,
+        cone_blocks=_extension_blocks(r1, r2, n) if n > 1 else [None] * len(cones),
         eq_rows=rows,
         eq_rhs=rhs,
         lift_cost=lift_cost,

@@ -10,8 +10,9 @@ solver.  Everything here is a pure function of immutable inputs.
 act on every matrix of the stack at once; the coupling compiler hands
 them whole sets of constraint directions.  Realified blocks are 2 r1 r2
 wide for marginal ranks r1, r2 (8x8 for qubit couplings, 32x32 at
-d = 4) and 2 r1^n r2 wide for an n:1 extension: a 2:1 extension at
-d = 3 has three 54x54 blocks.  Real data is embedded as its real part,
+d = 4) and at most 2 r1^n r2 wide for an n:1 extension, whose cones are
+split by their permutation symmetry: a 2:1 extension at d = 3 has blocks
+36, 18, 54, 36 and 18 wide.  Real data is embedded as its real part,
 r1 r2 wide (4x4 for the paper's real qubit pairs).
 """
 

@@ -12,6 +12,7 @@ formulas involve explicit transposes.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -201,20 +202,35 @@ def flip_operator(d: int) -> HermitianOperator:
     return HermitianOperator(f, (d, d))
 
 
-def symmetric_isometry(d: int) -> np.ndarray:
-    """Isometry whose columns span the symmetric subspace: |ii> and
-    (|ij> + |ji>)/sqrt(2) for i < j."""
-    cols = []
-    for i in range(d):
-        v = np.zeros(d * d, dtype=complex)
-        v[i * d + i] = 1.0
-        cols.append(v)
-    for i in range(d):
-        for jj in range(i + 1, d):
-            v = np.zeros(d * d, dtype=complex)
-            v[i * d + jj] = v[jj * d + i] = 1.0 / np.sqrt(2.0)
-            cols.append(v)
-    return np.column_stack(cols)
+def symmetric_isometry(d: int, copies: int = 2):
+    """Real isometries onto the symmetric subspace of ``copies`` copies of
+    C^d and onto its orthogonal complement, as a pair of column stacks.
+
+    The orderings t_0 < ... < t_{m-1} of one multiset of digits span an
+    invariant subspace: its symmetric column is their normalised sum, and
+    its complement columns are the contrasts (|t_0> + ... + |t_{j-1}> -
+    j |t_j>) / sqrt(j (j + 1)), j = 1..m-1.  Multisets come by their
+    number of orderings, then lexicographically: for two copies the
+    symmetric columns are |ii> and then (|ij> + |ji>)/sqrt(2) for i < j,
+    and the complement's are (|ij> - |ji>)/sqrt(2).  With no copy, or one,
+    the complement has no column.
+    """
+    orbits: dict = {}
+    for pos, digits in enumerate(itertools.product(range(d), repeat=copies)):
+        orbits.setdefault(tuple(sorted(digits)), []).append(pos)
+    size = d**copies
+    sym, comp = [], []
+    for key in sorted(orbits, key=lambda t: (len(orbits[t]), t)):
+        pos = orbits[key]
+        v = np.zeros(size)
+        v[pos] = 1.0 / np.sqrt(len(pos))
+        sym.append(v)
+        for j in range(1, len(pos)):
+            v = np.zeros(size)
+            v[pos[:j]] = 1.0
+            v[pos[j]] = -j
+            comp.append(v / np.sqrt(j * (j + 1)))
+    return np.column_stack(sym), np.array(comp).reshape(-1, size).T
 
 
 def default_rng(seed=None) -> np.random.Generator:

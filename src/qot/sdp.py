@@ -10,7 +10,8 @@ returned values).
 Problem sizes span two orders of magnitude.  A real qubit coupling has
 one or two 4x4 blocks and 5 constraints, and the fig2 sweep solves
 thousands of these, so the fixed NumPy cost per call dominates there.  A
-2:1 extension at d = 3 has three 54x54 blocks and 388 constraints (27 MB).
+2:1 extension at d = 3 has five blocks, 36, 18, 54, 36 and 18 wide, and
+388 constraints (19 MB).
 The engine uses one flat layout: blocks are grouped by size, a group of K
 blocks of size n taking K n^2 adjacent coordinates.  The constraints are
 one (m, N) matrix, and X, S and every direction one length-N vector with a

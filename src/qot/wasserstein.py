@@ -13,9 +13,11 @@ quantity only by a mean-shift correction fixed by the marginals.
 Coupling problems are passed to the SDP engine in a reduced form: the
 equality constraints are eliminated by parametrizing their null space, so
 the solver sees one constraint per free direction and one PSD block per
-cone map.  The optimizer of the original problem is then read off the
-dual slack and projected back onto the constraint subspace, which makes
-the marginals of the returned coupling exact to roundoff.
+diagonal block of each cone map (an extension's cones are split by their
+permutation symmetry, see coupling).  The optimizer of the original
+problem is then read off the dual slack and projected back onto the
+constraint subspace, which makes the marginals of the returned coupling
+exact to roundoff.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def _product_value(rho, sigma, spec: CostSpec) -> float:
 
 def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray, real: bool) -> list:
     """The negated null-space directions through every cone map, as one
-    embedded (k, n_b, n_b) stack per cone."""
+    embedded (k, n_b, n_b) stack per diagonal block of each cone."""
     directions = linalg.vec_to_herm(null, problem.var_cdim)
-    return [linalg.realify(-apply(directions), real) for apply in problem.cone_maps]
+    return [linalg.realify(-b, real) for b in problem.block_images(directions)]
 
 
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
@@ -159,15 +161,17 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
         return x0, None
     c_vec = linalg.herm_to_vec(c_var)[:keep]
     b_hat = -(null @ c_vec)
-    cost_blocks = [linalg.realify(apply(x0), real) for apply in problem.cone_maps]
+    cost_blocks = [linalg.realify(b, real) for b in problem.block_images(x0)]
     # The constraint stacks go to the engine with no reference kept here,
     # so it can free them once it holds its own copy.
     res = sdp.solve_blocks(
         cost_blocks, _cone_stacks(problem, full(null), real), b_hat, options
     )
-    # The original optimizer is the slack of the reduced problem; project
-    # it back onto the constraint subspace to null out dual residual.
-    x_raw = linalg.herm_to_vec(linalg.derealify(res.s_blocks[0], real))[:keep]
+    # The original optimizer is the slack of the reduced problem, read off
+    # the identity cone's blocks; project it back onto the constraint
+    # subspace to null out dual residual.
+    x_raw = problem.variable(linalg.derealify(s, real) for s in res.s_blocks)
+    x_raw = linalg.herm_to_vec(x_raw)[:keep]
     x_vec = x0_vec + null.T @ (null @ (x_raw - x0_vec))
     return linalg.vec_to_herm(full(x_vec), n), res
 

@@ -39,9 +39,10 @@ def random_herm(n, rng):
     return g / np.linalg.norm(g)
 
 
-def ranked_state(d, r, rng):
-    """A random state on C^d of rank r."""
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+def ranked_state(d, r, rng, real=False):
+    """A random state on C^d of rank r, real with ``real``."""
+    g = rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g if real else g + 1j * rng.standard_normal((d, d)))
     lam = np.concatenate([rng.uniform(0.5, 1.0, r), np.zeros(d - r)])
     return (q * (lam / lam.sum())) @ q.conj().T
 
@@ -178,12 +179,13 @@ class TestBuild:
             cp.build(rho, rho, cp.ppt_extension(1), "gmpc")
 
     def test_extension_size_guard_refuses_before_building(self, monkeypatch):
-        # d = 3, n = 3 needs about 4.9 GiB; the refusal comes from the
+        # d = 3, n = 3 needs about 2.8 GiB; the refusal comes from the
         # estimate alone, before any constraint data exists
         def fail(_d):
             raise AssertionError("constraint data built for a refused input")
 
         monkeypatch.setattr(cp, "_herm_basis", fail)
+        assert cp.extension_memory_estimate(4, 4, 2) > cp.EXTENSION_MEMORY_BUDGET
         rho = qs.random_density(3, np.random.default_rng(68))
         with pytest.raises(InvalidDimension, match="budget"):
             cp.build(rho, rho, cp.ppt_extension(3), "gmpc")
@@ -278,3 +280,64 @@ class TestBuild:
         assert not np.any(ops[:, :2, 2:]) and not np.any(ops[:, 2:, :2])
         w = problem.feasible_witness
         assert abs(w[0, 2]) < 1e-12 and abs(w[1, 3]) < 1e-12
+
+
+# (d, n, rank of rho): full rank, rank d - 1 and pure, for the extensions
+# the benchmark runs; at d = 2 rank d - 1 is pure.
+SPLIT_CASES = [
+    (2, 2, 2), (2, 2, 1), (3, 2, 3), (3, 2, 2), (3, 2, 1), (2, 3, 2), (2, 3, 1)
+]
+
+
+class TestConeSplit:
+    # Every cone of an extension commutes with a group of permutations of
+    # the copies, so in the basis of its isometries [V_1 V_2] it is block
+    # diagonal on every admissible variable: the subspace rows and the
+    # witness.
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("d, n, rank", SPLIT_CASES)
+    def test_cone_images_block_diagonal(self, d, n, rank, real):
+        rng = np.random.default_rng([74, d, n, rank])
+        rho, sigma = ranked_state(d, rank, rng, real), ranked_state(d, d, rng, real)
+        problem = cp.build(rho, sigma, cp.ppt_extension(n), "dpt")
+        nc = problem.var_cdim
+        ops = linalg.vec_to_herm(problem.subspace, nc)
+        ops = np.concatenate([ops, problem.feasible_witness[None]])
+        assert len(problem.cone_blocks) == len(problem.cone_maps) == n + 1
+        for apply, split in zip(problem.cone_maps, problem.cone_blocks):
+            if split is None:
+                continue
+            w = np.hstack(split)
+            assert w.shape == (nc, nc) and np.isrealobj(w)
+            assert all(v.shape[1] > 0 and not v.flags.writeable for v in split)
+            assert np.allclose(w.T @ w, np.eye(nc), rtol=0, atol=1e-14)
+            turned = w.T @ apply(ops) @ w
+            n1 = split[0].shape[1]
+            assert np.max(np.abs(turned[:, :n1, n1:])) <= 1e-13
+        if rank == 1:
+            # a pure first marginal leaves one copy space, which every
+            # permutation fixes: no cone splits, and no block is empty
+            assert problem.cone_blocks == [None] * (n + 1)
+
+    def test_block_sizes(self):
+        rng = np.random.default_rng(75)
+        sizes = {}
+        for d, n in ((3, 2), (2, 3)):
+            rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng)
+            problem = cp.build(rho, sigma, cp.ppt_extension(n), "gmpc")
+            w = problem.feasible_witness
+            sizes[d, n] = [len(b) for b in problem.block_images(w)]
+            # the witness is PD on every block
+            assert min(np.linalg.eigvalsh(b)[0] for b in problem.block_images(w)) > 0
+            # and the blocks of the variable reassemble it
+            back = problem.variable(problem.block_images(w))
+            assert np.allclose(back, w, rtol=0, atol=1e-15)
+        # Sym^2(C^3) x C^3 and its complement; cut 1 has a trivial group
+        assert sizes[3, 2] == [18, 9, 27, 18, 9]
+        # Sym^k(C^2) x Sym^(3-k)(C^2) x C^2 and its complement
+        assert sizes[2, 3] == [8, 8, 12, 4, 12, 4, 8, 8]
+        # one cached basis per shape
+        assert cp._cut_blocks(3, 3, 2, 2) is cp._cut_blocks(3, 3, 2, 2)
+        # one-copy sets keep one block per cone
+        problem = cp.build(rho, sigma, cp.PPT, "gmpc")
+        assert problem.cone_blocks == [None, None]

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,10 +133,38 @@ class TestStates:
 
     def test_symmetric_isometry(self):
         for d in (2, 3):
-            v = qs.symmetric_isometry(d)
+            v, rest = qs.symmetric_isometry(d)
             assert np.allclose(v.conj().T @ v, np.eye(d * (d + 1) // 2))
             f = qs.flip_operator(d).matrix
             assert np.allclose(f @ v, v)
+            assert np.allclose(f @ rest, -rest)
+            # |ii>, then (|ij> + |ji>)/sqrt(2) for i < j
+            pairs = [(i, i) for i in range(d)]
+            pairs += [(i, j) for i in range(d) for j in range(i + 1, d)]
+            want = np.zeros((d * d, len(pairs)))
+            for col, (i, j) in enumerate(pairs):
+                want[[i * d + j, j * d + i], col] = 1.0 / np.sqrt(2.0 - (i == j))
+            assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize(
+        "d, copies", [(2, 3), (3, 3), (3, 2), (1, 2), (3, 1), (2, 0)]
+    )
+    def test_symmetric_isometry_and_complement(self, d, copies):
+        # Together the two are a real orthogonal matrix, and the projector
+        # onto the first is the average of the copies' permutations.
+        sym, rest = qs.symmetric_isometry(d, copies)
+        assert sym.shape == (d**copies, math.comb(d + copies - 1, copies))
+        assert rest.shape == (d**copies, d**copies - sym.shape[1])
+        w = np.hstack([sym, rest])
+        assert np.isrealobj(w)
+        assert np.allclose(w.T @ w, np.eye(d**copies), rtol=0, atol=1e-15)
+        grid = np.arange(d**copies).reshape((d,) * copies)
+        perms = [
+            np.eye(d**copies)[np.transpose(grid, order).ravel()]
+            for order in itertools.permutations(range(copies))
+        ]
+        average = sum(perms) / len(perms)
+        assert np.allclose(sym @ sym.T, average, rtol=0, atol=1e-15)
 
 
 class TestValidateDensity:

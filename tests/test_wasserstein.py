@@ -465,8 +465,9 @@ class TestFig2CoincidencePoint:
 class TestEngineInput:
     # The engine is handed null-space directions that are orthonormal, and
     # whose couplings in full coordinates are traceless (the trace is fixed
-    # by the marginals), mapped isometrically into each cone and realified,
-    # or, for real data, as real n x n blocks.
+    # by the marginals), mapped isometrically into each cone, split into
+    # the cone's diagonal blocks and realified, or, for real data, as real
+    # n x n blocks.
     # Their right-hand sides are consistent, since the product coupling
     # meets every marginal row.  The engine relies on this: the identity is
     # not in their span, so it starts at X = I, re-spanning the rows is a
@@ -519,18 +520,22 @@ class TestEngineInput:
         problem = cp.build(rho, sigma, cset, "gmpc")
         # the realified embedding doubles every block and every inner product
         field = 1 if real else 2
+        sizes = [field * len(b) for b in problem.block_images(problem.feasible_witness)]
         for (_, stacks, *_), _ in engine_calls:
-            assert stacks[0].shape[1:] == (field * problem.var_cdim,) * 2
+            assert [stk.shape[1:] for stk in stacks] == [(n, n) for n in sizes]
             # Tr(g1 x g2 . D) = 0 for every direction D, read off the first
-            # cone, the variable itself
+            # cone, the variable itself, reassembled from its blocks
             traces = [
-                np.trace(problem.extract_coupling(derealify(stk, real)))
-                for stk in stacks[0]
+                np.trace(problem.extract_coupling(
+                    problem.variable(derealify(stk[p], real) for stk in stacks)
+                ))
+                for p in range(len(stacks[0]))
             ]
             assert np.max(np.abs(traces)) <= 1e-12
+            # each cone map is an isometry, and its blocks keep every norm
             rows = np.concatenate([stk.reshape(len(stk), -1) for stk in stacks], 1)
             gram = rows @ rows.T
-            want = field * len(stacks) * np.eye(len(rows))
+            want = field * len(problem.cone_maps) * np.eye(len(rows))
             assert np.max(np.abs(gram - want)) <= 1e-12
 
     def test_elimination_freed_before_engine(self, monkeypatch):
@@ -687,7 +692,7 @@ class TestRealData:
             cset,
         )
         problem = cp.build(rho, sigma, cset, conv)
-        sizes = [len(apply(problem.feasible_witness)) for apply in problem.cone_maps]
+        sizes = [len(b) for b in problem.block_images(problem.feasible_witness)]
         (real_args, _), (turned_args, _) = engine_calls
         assert [len(c) for c in real_args[0]] == sizes
         assert [len(c) for c in turned_args[0]] == [2 * n for n in sizes]
@@ -695,6 +700,58 @@ class TestRealData:
         assert certified(turned), turned.diagnostics
         gaps = real.diagnostics["gap"] + turned.diagnostics["gap"]
         assert abs(real.value - turned.value) <= gaps
+
+
+class TestConeSplit:
+    # The engine gets each extension cone as its diagonal blocks.  Put back
+    # together and turned back by the cone's isometries, they are the cone
+    # unsplit; the engine solves both to the same value within the sum of
+    # the two gaps.  (d, n, rank of rho): full rank, rank d - 1 and pure.
+    CASES = [
+        pytest.param(d, n, rank, real, id=f"{'real-' * real}d{d}-ext{n}-rank{rank}")
+        for d, n, rank in [
+            (2, 2, 2), (2, 2, 1), (3, 2, 3), (3, 2, 2), (3, 2, 1), (2, 3, 2), (2, 3, 1)
+        ]
+        for real in (False, True)
+        if not real or rank == d
+    ]
+
+    @pytest.mark.parametrize("d, n, rank, real", CASES)
+    def test_split_matches_unsplit(self, d, n, rank, real, monkeypatch):
+        rng = np.random.default_rng([81, d, n, rank, real])
+        draw = real_density if real else qs.random_density
+        rho, sigma = draw(d, rng, rank), draw(d, rng)
+        h = real_symmetric(d, rng) if real else qs.random_hermitian(d, rng)
+        conv = "dpt" if d == 2 else "gmpc"
+        solve = ws.distance_squared if n == 2 else ws.wasserstein_variance
+        calls, engine = [], sdp.solve_blocks
+
+        def spy(*args):
+            calls.append((args, engine(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sdp, "solve_blocks", spy)
+        res = solve(rho, sigma, ws.CostSpec((h,), conv), cp.ppt_extension(n))
+        assert certified(res), res.diagnostics
+        if rank == 1:
+            # a pure rho forces the product coupling: no free direction
+            assert calls == []
+            return
+        ((costs, stacks, b, _), split), = calls
+        problem = cp.build(rho, sigma, cp.ppt_extension(n), conv)
+        field = 1 if real else 2
+        whole_costs, whole_stacks, first = [], [], 0
+        for cone in problem.cone_blocks:
+            isometries = cone or [np.eye(problem.var_cdim)]
+            turns = [np.kron(np.eye(field), v) for v in isometries]
+            part = slice(first, first + len(turns))
+            first += len(turns)
+            whole_costs.append(sum(e @ c @ e.T for e, c in zip(turns, costs[part])))
+            whole_stacks.append(sum(e @ a @ e.T for e, a in zip(turns, stacks[part])))
+        assert first == len(costs)
+        whole = engine(whole_costs, whole_stacks, b)
+        assert split.status == whole.status == "Optimal"
+        assert abs(split.primal_value - whole.primal_value) <= split.gap + whole.gap
 
 
 def assert_within_gap(res, want, label):
@@ -796,11 +853,14 @@ class TestInvariances:
     # The paper's symmetries of the transport cost, end to end: every set
     # is mapped onto itself by complex conjugation, the cost of aH + b 1 is
     # a^2 times that of H, and under GMPC the swap of the two systems maps
-    # the couplings of (rho, sigma) onto those of (sigma, rho).  The
-    # values of a pair of solves agree within the sum of their gaps.  A
-    # defect that keeps these symmetries passes: a transposed lifted cost
-    # computes the distance for conj H, and a dropped PPT cut turns PPT
-    # into general.  The closed-form identities catch those.
+    # the couplings of (rho, sigma) onto those of (sigma, rho).  Turning
+    # rho, sigma and H by one unitary U turns every set's couplings by a
+    # local unitary (under DPT the first system by conj U).  The values of
+    # a pair of solves agree within the sum of their gaps.  The last
+    # property catches a transposed lifted cost, which computes the
+    # distance for conj H and so keeps the first three; a dropped PPT cut,
+    # which turns PPT into general, keeps all four.  The closed-form
+    # identities catch it.
     CASES = _invariance_cases()
     SOLVE = {"min": ws.distance_squared, "max": ws.wasserstein_variance}
     SEEDS = st.integers(0, 2**32 - 1)
@@ -835,6 +895,34 @@ class TestInvariances:
         res = solve(rho, sigma, ws.CostSpec((h,), conv), cset)
         moved = ws.CostSpec((a * h.matrix + b * np.eye(d),), conv)
         assert_agree(res, solve(rho, sigma, moved, cset), a**2, (seed, a, b))
+
+    @pytest.mark.parametrize(
+        "cset, conv, sense",
+        [
+            pytest.param(cset, conv, sense, id=f"{cset.label()}-{conv}-{sense}")
+            for cset in (cp.GENERAL, cp.PPT, cp.ppt_extension(2))
+            for conv in ("dpt", "gmpc")
+            for sense in ("min", "max")
+        ],
+    )
+    @settings(max_examples=2, deadline=None)
+    @given(seed=SEEDS)
+    def test_local_unitary(self, cset, conv, sense, seed):
+        rho, sigma, h = self._inputs(seed, 2)
+        u = random_unitary(2, np.random.default_rng([seed, 1]))
+
+        def turn(m):
+            return u @ m @ u.conj().T
+
+        solve = self.SOLVE[sense]
+        res = solve(rho, sigma, ws.CostSpec((h,), conv), cset)
+        turned = solve(
+            dm(turn(rho.matrix)),
+            dm(turn(sigma.matrix)),
+            ws.CostSpec((hermitize(turn(h.matrix)),), conv),
+            cset,
+        )
+        assert_agree(res, turned, 1.0, seed)
 
     @pytest.mark.parametrize(
         "cset, d, sense",
