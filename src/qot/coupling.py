@@ -25,10 +25,11 @@ Each cone of an extension commutes with a group of permutations of the
 copies: the variable and the last cut with all of them, cut k with those
 within the first k and within the last n - k copies.  By Schur's lemma
 the cone is block diagonal in the subspace its group fixes, Sym^k x
-Sym^(n-k) x C^r2, and that subspace's orthogonal complement, so the cone
-comes with real isometries onto the two blocks and only the blocks must
-be PSD.  The split is exact and changes no value; Bose symmetry, which
-would keep only the variable's symmetric block, is not imposed.
+Sym^(n-k) x C^r2, and that subspace's orthogonal complement, so only
+the blocks must be PSD: with V the real isometries onto them, the cone
+gives one map X -> V^T cone(X) V per block.  The split is exact and
+changes no value; Bose symmetry, which would keep only the variable's
+symmetric block, is not imposed.
 
 The DPT convention fixes the first marginal to rho^T and the GMPC
 convention to rho; the second marginal is sigma in both.  "separable" is
@@ -144,50 +145,41 @@ class CouplingProblem:
 
     The Hermitian variable lives on ``var_cdim`` complex dimensions; each
     of the ``cone_maps`` sends it (or a stack of variables) to a matrix
-    that must be PSD (the first map always reproducing the variable itself),
-    the equality constraints read Tr(eq_rows[i] X) = eq_rhs[i] with
-    ``eq_rows`` one (k, var_cdim, var_cdim) stack, the variable is
-    restricted to the span of the orthonormal ``subspace`` rows (in
-    linalg.herm_to_vec coordinates; None for the full space), and
-    ``lift_cost`` / ``extract_coupling`` translate between the d^2 coupling
-    space and the variable space.  ``feasible_witness`` is a point of the
-    subspace meeting the equalities, PD in every cone.  The solve takes the
-    real coordinates of ``eq_rows`` and ``subspace`` and sets both to None.
+    that must be PSD, one map per diagonal block of every cone (the first
+    maps always reproducing the blocks of the variable itself, which
+    ``variable`` puts back together), the equality constraints read
+    Tr(eq_rows[i] X) = eq_rhs[i] with ``eq_rows`` one (k, var_cdim,
+    var_cdim) stack, the variable is restricted to the span of the
+    orthonormal ``subspace`` rows (in linalg.herm_to_vec coordinates; None
+    for the full space), and ``lift_cost`` / ``extract_coupling``
+    translate between the d^2 coupling space and the variable space.
+    ``feasible_witness`` is a point of the subspace meeting the
+    equalities, PD in every cone.  The solve takes the real coordinates of
+    ``eq_rows`` and ``subspace`` and sets both to None.
 
-    ``cone_blocks`` has one entry per cone map: None for a cone that is one
-    block, else the real isometries V onto its diagonal blocks, whose
-    images V^T cone(X) V are what must be PSD (``block_images``).
+    ``var_blocks`` holds the real isometries V onto the variable's
+    diagonal blocks, whose maps are y -> V^T y V, or None when the
+    variable is one block.
     """
 
     var_cdim: int
     cone_maps: list
-    cone_blocks: list
     eq_rows: np.ndarray | None
     eq_rhs: np.ndarray
     lift_cost: object
     extract_coupling: object
     feasible_witness: np.ndarray
     subspace: np.ndarray | None = None
+    var_blocks: tuple | None = None
     notes: list = field(default_factory=list)
 
-    def block_images(self, y):
-        """The diagonal blocks of every cone image of y, a variable or a
-        stack of them, cone by cone and in the order of ``cone_blocks``."""
-        for apply, split in zip(self.cone_maps, self.cone_blocks):
-            image = apply(y)
-            if split is None:
-                yield image
-            else:
-                yield from (v.T @ image @ v for v in split)
-
     def variable(self, blocks):
-        """The variable whose identity-cone blocks lead ``blocks``, an
-        iterable ordered as ``block_images``; the rest is not read."""
+        """The variable whose diagonal blocks lead ``blocks``, an iterable
+        ordered as ``cone_maps``; the rest is not read."""
         blocks = iter(blocks)
-        split = self.cone_blocks[0]
-        if split is None:
+        if self.var_blocks is None:
             return next(blocks)
-        return sum(v @ next(blocks) @ v.T for v in split)
+        return sum(v @ next(blocks) @ v.T for v in self.var_blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,13 +221,6 @@ def _cut_blocks(r1: int, r2: int, n: int, k: int):
     return blocks
 
 
-def _extension_blocks(r1: int, r2: int, n: int) -> list:
-    """``cone_blocks`` of an n:1 extension: the variable and the last cut
-    commute with every permutation of the copies, cut k with those within
-    the first k and within the last n - k."""
-    return [_cut_blocks(r1, r2, n, k) for k in (n, *range(1, n + 1))]
-
-
 def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     """Bytes an n:1 extension holds at its peak, build and solve together,
     for marginal ranks r1 and r2.
@@ -261,10 +246,13 @@ def extension_memory_estimate(r1: int, r2: int, n: int) -> int:
     free = n_sub - (n_rows - 1)
     subspace = 2 * 8 * n_sub * var
     eq_rows = 16 * n_rows * var + 8 * n_rows * var
-    blocks = 0  # the summed squared sizes of the realified blocks
-    for split in _extension_blocks(r1, r2, n):
-        sizes = [nc] if split is None else [v.shape[1] for v in split]
-        blocks += sum((2 * nb) ** 2 for nb in sizes)
+    # The summed squared sizes of the realified blocks: cut k, and the
+    # variable as cut n, splits into Sym^k x Sym^(n-k) x C^r2 and its
+    # complement, an empty complement adding nothing.
+    blocks = 0
+    for k in (n, *range(1, n + 1)):
+        fixed = math.comb(r1 + k - 1, k) * math.comb(r1 + n - k - 1, n - k) * r2
+        blocks += (2 * fixed) ** 2 + (2 * (nc - fixed)) ** 2
     engine = 8 * (4 * free * blocks + 8 * free * free)
     return subspace + eq_rows + engine
 
@@ -460,6 +448,16 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         for k in range(1, n + 1):
             cut = (r1**k, r1 ** (n - k) * r2)
             cones.append(lambda y, cut=cut: linalg.partial_transpose(full(y), 1, cut))
+    # An extension's cones go to the engine as their diagonal blocks.
+    splits = [None] * len(cones)
+    if n > 1:
+        splits = [_cut_blocks(r1, r2, n, k) for k in (n, *range(1, n + 1))]
+    cone_maps = []
+    for apply, split in zip(cones, splits):
+        if split is None:
+            cone_maps.append(apply)
+        else:
+            cone_maps.extend(lambda y, a=apply, v=v: v.T @ a(y) @ v for v in split)
 
     lift = linalg.kron(f1.t, f2.t)
     mid = np.arange(rest)
@@ -489,13 +487,13 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         witness = v.conj().T @ (witness + np.diag(np.diag(1 - f1.lam).ravel())) @ v / 2
     return CouplingProblem(
         var_cdim=nc if v is None else v.shape[1],
-        cone_maps=cones,
-        cone_blocks=_extension_blocks(r1, r2, n) if n > 1 else [None] * len(cones),
+        cone_maps=cone_maps,
         eq_rows=rows,
         eq_rhs=rhs,
         lift_cost=lift_cost,
         extract_coupling=extract_coupling,
         subspace=None if labels is None else _class_basis(labels),
         feasible_witness=witness,
+        var_blocks=splits[0],
         notes=notes,
     )

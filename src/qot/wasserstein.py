@@ -106,7 +106,7 @@ def _cone_stacks(problem: cp.CouplingProblem, null: np.ndarray, real: bool) -> l
     """The negated null-space directions through every cone map, as one
     embedded (k, n_b, n_b) stack per diagonal block of each cone."""
     directions = linalg.vec_to_herm(null, problem.var_cdim)
-    return [linalg.realify(-b, real) for b in problem.block_images(directions)]
+    return [linalg.realify(-apply(directions), real) for apply in problem.cone_maps]
 
 
 def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
@@ -161,7 +161,7 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
         return x0, None
     c_vec = linalg.herm_to_vec(c_var)[:keep]
     b_hat = -(null @ c_vec)
-    cost_blocks = [linalg.realify(b, real) for b in problem.block_images(x0)]
+    cost_blocks = [linalg.realify(apply(x0), real) for apply in problem.cone_maps]
     # The constraint stacks go to the engine with no reference kept here,
     # so it can free them once it holds its own copy.
     res = sdp.solve_blocks(

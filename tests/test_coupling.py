@@ -180,12 +180,25 @@ class TestBuild:
 
     def test_extension_size_guard_refuses_before_building(self, monkeypatch):
         # d = 3, n = 3 needs about 2.8 GiB; the refusal comes from the
-        # estimate alone, before any constraint data exists
-        def fail(_d):
+        # estimate alone, before any constraint data or cone isometry exists
+        def fail(*_args):
             raise AssertionError("constraint data built for a refused input")
 
         monkeypatch.setattr(cp, "_herm_basis", fail)
+        monkeypatch.setattr(cp, "_cut_blocks", fail)
+        monkeypatch.setattr(cp, "symmetric_isometry", fail)
+        monkeypatch.setattr(qs, "symmetric_isometry", fail)
         assert cp.extension_memory_estimate(4, 4, 2) > cp.EXTENSION_MEMORY_BUDGET
+        # the estimate is arithmetic: at r1 = r2 = 12, n = 3 one isometry
+        # onto a cone's blocks alone would take gigabytes
+        tracemalloc.start()
+        try:
+            need = cp.extension_memory_estimate(12, 12, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need > cp.EXTENSION_MEMORY_BUDGET
+        assert peak < 2**16
         rho = qs.random_density(3, np.random.default_rng(68))
         with pytest.raises(InvalidDimension, match="budget"):
             cp.build(rho, rho, cp.ppt_extension(3), "gmpc")
@@ -266,7 +279,8 @@ class TestBuild:
         rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
         problem = cp.build(rho, sigma, cp.ppt_extension(3), "dpt")
         assert problem.var_cdim == 16
-        assert len(problem.cone_maps) == 4  # identity + three cuts
+        # identity + three cuts, each split into two diagonal blocks
+        assert len(problem.cone_maps) == 8
 
     def test_classical_quantum_block_structure(self):
         rng = np.random.default_rng(67)
@@ -293,7 +307,7 @@ class TestConeSplit:
     # Every cone of an extension commutes with a group of permutations of
     # the copies, so in the basis of its isometries [V_1 V_2] it is block
     # diagonal on every admissible variable: the subspace rows and the
-    # witness.
+    # witness.  The problem's cone maps are its diagonal blocks.
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("d, n, rank", SPLIT_CASES)
     def test_cone_images_block_diagonal(self, d, n, rank, real):
@@ -303,21 +317,33 @@ class TestConeSplit:
         nc = problem.var_cdim
         ops = linalg.vec_to_herm(problem.subspace, nc)
         ops = np.concatenate([ops, problem.feasible_witness[None]])
-        assert len(problem.cone_blocks) == len(problem.cone_maps) == n + 1
-        for apply, split in zip(problem.cone_maps, problem.cone_blocks):
+        # the variable, whose group is the last cut's, then cuts 1..n
+        cones = [(n, ops)] + [
+            (k, linalg.partial_transpose(ops, 1, (rank**k, nc // rank**k)))
+            for k in range(1, n + 1)
+        ]
+        maps = iter(problem.cone_maps)
+        for k, image in cones:
+            split = cp._cut_blocks(rank, d, n, k)
             if split is None:
+                assert np.array_equal(next(maps)(ops), image)
                 continue
             w = np.hstack(split)
             assert w.shape == (nc, nc) and np.isrealobj(w)
             assert all(v.shape[1] > 0 and not v.flags.writeable for v in split)
             assert np.allclose(w.T @ w, np.eye(nc), rtol=0, atol=1e-14)
-            turned = w.T @ apply(ops) @ w
+            turned = w.T @ image @ w
             n1 = split[0].shape[1]
             assert np.max(np.abs(turned[:, :n1, n1:])) <= 1e-13
+            for v in split:
+                assert np.array_equal(next(maps)(ops), v.T @ image @ v)
+        assert next(maps, None) is None
+        assert problem.var_blocks is cp._cut_blocks(rank, d, n, n)
         if rank == 1:
             # a pure first marginal leaves one copy space, which every
             # permutation fixes: no cone splits, and no block is empty
-            assert problem.cone_blocks == [None] * (n + 1)
+            assert len(problem.cone_maps) == n + 1
+            assert problem.var_blocks is None
 
     def test_block_sizes(self):
         rng = np.random.default_rng(75)
@@ -326,11 +352,12 @@ class TestConeSplit:
             rho, sigma = qs.random_density(d, rng), qs.random_density(d, rng)
             problem = cp.build(rho, sigma, cp.ppt_extension(n), "gmpc")
             w = problem.feasible_witness
-            sizes[d, n] = [len(b) for b in problem.block_images(w)]
+            blocks = [apply(w) for apply in problem.cone_maps]
+            sizes[d, n] = [len(b) for b in blocks]
             # the witness is PD on every block
-            assert min(np.linalg.eigvalsh(b)[0] for b in problem.block_images(w)) > 0
+            assert min(np.linalg.eigvalsh(b)[0] for b in blocks) > 0
             # and the blocks of the variable reassemble it
-            back = problem.variable(problem.block_images(w))
+            back = problem.variable(blocks)
             assert np.allclose(back, w, rtol=0, atol=1e-15)
         # Sym^2(C^3) x C^3 and its complement; cut 1 has a trivial group
         assert sizes[3, 2] == [18, 9, 27, 18, 9]
@@ -340,4 +367,4 @@ class TestConeSplit:
         assert cp._cut_blocks(3, 3, 2, 2) is cp._cut_blocks(3, 3, 2, 2)
         # one-copy sets keep one block per cone
         problem = cp.build(rho, sigma, cp.PPT, "gmpc")
-        assert problem.cone_blocks == [None, None]
+        assert len(problem.cone_maps) == 2 and problem.var_blocks is None

@@ -520,7 +520,8 @@ class TestEngineInput:
         problem = cp.build(rho, sigma, cset, "gmpc")
         # the realified embedding doubles every block and every inner product
         field = 1 if real else 2
-        sizes = [field * len(b) for b in problem.block_images(problem.feasible_witness)]
+        w = problem.feasible_witness
+        sizes = [field * len(apply(w)) for apply in problem.cone_maps]
         for (_, stacks, *_), _ in engine_calls:
             assert [stk.shape[1:] for stk in stacks] == [(n, n) for n in sizes]
             # Tr(g1 x g2 . D) = 0 for every direction D, read off the first
@@ -532,10 +533,12 @@ class TestEngineInput:
                 for p in range(len(stacks[0]))
             ]
             assert np.max(np.abs(traces)) <= 1e-12
-            # each cone map is an isometry, and its blocks keep every norm
+            # each cone is an isometry and its blocks keep every norm, so
+            # the Gram is the field times the number of cones, 1 + the cuts
             rows = np.concatenate([stk.reshape(len(stk), -1) for stk in stacks], 1)
             gram = rows @ rows.T
-            want = field * len(problem.cone_maps) * np.eye(len(rows))
+            cuts = cset.n_copies or int(cset.kind in ("ppt", "symmetric_ppt"))
+            want = field * (1 + cuts) * np.eye(len(rows))
             assert np.max(np.abs(gram - want)) <= 1e-12
 
     def test_elimination_freed_before_engine(self, monkeypatch):
@@ -692,7 +695,8 @@ class TestRealData:
             cset,
         )
         problem = cp.build(rho, sigma, cset, conv)
-        sizes = [len(b) for b in problem.block_images(problem.feasible_witness)]
+        w = problem.feasible_witness
+        sizes = [len(apply(w)) for apply in problem.cone_maps]
         (real_args, _), (turned_args, _) = engine_calls
         assert [len(c) for c in real_args[0]] == sizes
         assert [len(c) for c in turned_args[0]] == [2 * n for n in sizes]
@@ -741,8 +745,9 @@ class TestConeSplit:
         problem = cp.build(rho, sigma, cp.ppt_extension(n), conv)
         field = 1 if real else 2
         whole_costs, whole_stacks, first = [], [], 0
-        for cone in problem.cone_blocks:
-            isometries = cone or [np.eye(problem.var_cdim)]
+        # the variable, whose group is the last cut's, then cuts 1..n
+        for k in (n, *range(1, n + 1)):
+            isometries = cp._cut_blocks(rank, d, n, k) or [np.eye(problem.var_cdim)]
             turns = [np.kron(np.eye(field), v) for v in isometries]
             part = slice(first, first + len(turns))
             first += len(turns)
