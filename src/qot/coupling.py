@@ -5,21 +5,22 @@ compared.  Every set is built by one construction, as in the PPT
 symmetric-extension hierarchy of Doherty, Parrilo and Spedalieri: a
 Hermitian variable on n copies of the first support and one of the
 second, the marginal constraints, and a list of cone maps whose images
-must all be PSD.  The sets differ only in four parameters:
+must all be PSD.  The sets differ only in three parameters:
 
   n            the number of first-support copies: n for ppt_extension(n),
                1 otherwise
-  compression  the symmetric-subspace isometry for symmetric_ppt, else none
   PPT cuts     a partial transpose after each of the first k copies,
                k = 1..n, for ppt, symmetric_ppt and ppt_extension(n)
-  subspace     the admissible variables, as orthonormal rows: when n > 1
-               the operators invariant under every permutation of the
-               copies; for classical_quantum the entries that couple no two
-               eigenvectors of the first marginal, and for
-               quantum_classical of the second; else the full space
+  variable     the real isometries V onto its diagonal blocks, and the
+               subspace the operators V E V^T span: for symmetric_ppt the
+               one block Sym^2; for classical_quantum one per eigenvector of
+               the first marginal and for quantum_classical of the second;
+               when n > 1 the permutation-invariant operators, which span
+               less than their blocks; else the full space, one block
 
-So general is the n = 1 member without a cut and ppt the one with it.
-The product set has a closed form (see wasserstein) and is not built here.
+So general is the n = 1 member without a cut, ppt the one with it and
+symmetric_ppt ppt on the one block Sym^2.  The product set has a closed
+form (see wasserstein) and is not built here.
 
 Each cone of an extension commutes with a group of permutations of the
 copies: the variable and the last cut with all of them, cut k with those
@@ -159,7 +160,8 @@ class CouplingProblem:
 
     ``var_blocks`` holds the real isometries V onto the variable's
     diagonal blocks, whose maps are y -> V^T y V, or None when the
-    variable is one block.
+    variable is one block.  The blocks may span less than the whole
+    space; the variable vanishes off them.
     """
 
     var_cdim: int
@@ -302,7 +304,7 @@ def marginals(rho: DensityMatrix, sigma: DensityMatrix, convention: str):
 def _class_basis(labels: np.ndarray) -> np.ndarray:
     """Orthonormal rows, in linalg.herm_to_vec coordinates, spanning the
     Hermitian matrices that are constant on every class of entries sharing
-    a label and vanish where the label is -1.
+    a label.
 
     A class C closed under the adjoint gives one row, its indicator; a
     class paired with its adjoint gives two, C + C^dag and i(C - C^dag).
@@ -321,7 +323,7 @@ def _class_basis(labels: np.ndarray) -> np.ndarray:
     val = np.concatenate(
         [np.ones(nc), np.full(len(up), root2), root2 * np.sign(adj - up)]
     )
-    coord = np.flatnonzero((key >= 0) & (val != 0))
+    coord = np.flatnonzero(val != 0)
     row = np.unique(key[coord], return_inverse=True)[1]
     basis = np.zeros((row.max() + 1, nc * nc))
     basis[row, coord] = val[coord]
@@ -341,24 +343,22 @@ def _orbit_labels(r1: int, r2: int, n: int) -> np.ndarray:
     return labels
 
 
-def _on_block_labels(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
-    """Entry labels that keep every entry on its own except those coupling
-    two eigenvectors of the anchor marginal, the first one or the second,
-    which get -1.  The compression basis diagonalizes it, so the block
-    structure is literal in these coordinates."""
+def _anchor_blocks(f1: _MarginalFactor, f2: _MarginalFactor, on_first: bool):
+    """Real isometries onto the variable's diagonal blocks that couple no
+    two eigenvectors of the anchor marginal, the first or the second: the
+    identity's columns per anchor eigenvector, as the compression basis
+    diagonalizes the anchor.  None for a pure anchor, one block."""
     anchor = f1.lam if on_first else f2.lam
-    if len(anchor) > 1 and np.min(np.diff(anchor)) < 1e-8:
+    if len(anchor) == 1:
+        return None
+    if np.min(np.diff(anchor)) < 1e-8:
         warnings.warn(
             "eigenbasis of the anchor marginal is not unique; using "
             "the decomposition as returned",
             DegenerateEigenbasis,
         )
-    r2 = f2.rank
-    dd = f1.rank * r2
-    block = np.arange(dd) // r2 if on_first else np.arange(dd) % r2
-    labels = np.arange(dd * dd).reshape(dd, dd)
-    labels[block[:, None] != block[None, :]] = -1
-    return labels
+    index = np.arange(f1.rank * f2.rank).reshape(f1.rank, f2.rank)
+    return tuple(np.eye(index.size)[:, c] for c in (index if on_first else index.T))
 
 
 _BUILT_KINDS = (
@@ -423,35 +423,32 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
     # and one of the second; ``rest`` is the dimension of the middle copies.
     rest = r1 ** (n - 1)
     nc = r1 * rest * r2
-    labels = None
-    if n > 1:
-        labels = _orbit_labels(r1, r2, n)
-        notes.append(f"{n}:1 symmetric extension, PPT across every cut")
+    blocks = subspace = None
+    if kind == "symmetric_ppt":
+        blocks = (symmetric_isometry(r1)[0],)
+        notes.append("variable restricted to the symmetric subspace")
     if kind in ("classical_quantum", "quantum_classical"):
-        labels = _on_block_labels(f1, f2, kind == "classical_quantum")
+        blocks = _anchor_blocks(f1, f2, kind == "classical_quantum")
         notes.append(f"block structure in the recorded eigenbasis ({kind})")
+    if blocks is not None:  # a real or imaginary E keeps its kind in V E V^T
+        ops = [v @ _herm_basis(v.shape[1]) @ v.T for v in blocks]
+        subspace = linalg.herm_to_vec(np.concatenate(ops))
+    if n > 1:
+        blocks = _cut_blocks(r1, r2, n, n)
+        subspace = _class_basis(_orbit_labels(r1, r2, n))
+        notes.append(f"{n}:1 symmetric extension, PPT across every cut")
     rows, rhs = _marginal_rows(
         f1.m, f2.m, linalg.kron(np.eye(rest), f2.g), linalg.kron(f1.g, np.eye(rest))
     )
 
-    v = symmetric_isometry(r1)[0] if kind == "symmetric_ppt" else None
-    if v is not None:
-        rows = v.conj().T @ rows @ v
-        notes.append("variable compressed to the symmetric subspace")
-
-    def full(y):
-        """The variable on all n + 1 supports, undoing the compression."""
-        return y if v is None else v @ y @ v.conj().T
-
-    cones = [lambda y: y]
+    # Every cone goes to the engine as its diagonal blocks, the variable's
+    # first; a partial transpose on one copy is one block.
+    cones, splits = [lambda y: y], [blocks]
     if kind in ("ppt", "symmetric_ppt", "ppt_extension"):
         for k in range(1, n + 1):
             cut = (r1**k, r1 ** (n - k) * r2)
-            cones.append(lambda y, cut=cut: linalg.partial_transpose(full(y), 1, cut))
-    # An extension's cones go to the engine as their diagonal blocks.
-    splits = [None] * len(cones)
-    if n > 1:
-        splits = [_cut_blocks(r1, r2, n, k) for k in (n, *range(1, n + 1))]
+            cones.append(lambda y, cut=cut: linalg.partial_transpose(y, 1, cut))
+            splits.append(_cut_blocks(r1, r2, n, k))
     cone_maps = []
     for apply, split in zip(cones, splits):
         if split is None:
@@ -467,33 +464,32 @@ def build(rho, sigma, cset: CouplingSet, convention: str = "dpt") -> CouplingPro
         cc = linalg.hermitize(lift.conj().T @ c @ lift).reshape(r1, r2, r1, r2)
         y = np.zeros((r1, rest, r2) * 2, dtype=complex)
         y[:, mid, :, :, mid, :] = cc
-        y = y.reshape(nc, nc)
-        return y if v is None else v.conj().T @ y @ v
+        return y.reshape(nc, nc)
 
     def extract_coupling(y):
         # Trace out the middle copies.
-        x = np.trace(full(y).reshape((r1, rest, r2) * 2), axis1=1, axis2=4)
+        x = np.trace(y.reshape((r1, rest, r2) * 2), axis1=1, axis2=4)
         return lift @ x.reshape(r1 * r2, r1 * r2) @ lift.conj().T
 
     # The product coupling m1^(x n) x m2.
     witness = f2.m
     for _ in range(n):
         witness = linalg.kron(f1.m, witness)
-    if v is not None:
+    if kind == "symmetric_ppt":
         # With S = m = g, W = (S x S)(1 + F)/2 + sum_k (1 - lam_k)/2 |kk><kk|
-        # meets Tr_2[(1 x S) W] = S, is PD on Sym^2 and has a PD partial
-        # transpose.
+        # meets Tr_2[(1 x S) W] = S, lies on Sym^2 and is PD there, and has
+        # a PD partial transpose.
         witness = witness + witness @ flip_operator(r1).matrix
-        witness = v.conj().T @ (witness + np.diag(np.diag(1 - f1.lam).ravel())) @ v / 2
+        witness = (witness + np.diag(np.diag(1 - f1.lam).ravel())) / 2
     return CouplingProblem(
-        var_cdim=nc if v is None else v.shape[1],
+        var_cdim=nc,
         cone_maps=cone_maps,
         eq_rows=rows,
         eq_rhs=rhs,
         lift_cost=lift_cost,
         extract_coupling=extract_coupling,
-        subspace=None if labels is None else _class_basis(labels),
+        subspace=subspace,
         feasible_witness=witness,
-        var_blocks=splits[0],
+        var_blocks=blocks,
         notes=notes,
     )

@@ -124,7 +124,7 @@ def pauli_xy_bounds(coupling):
 
 
 def wasserstein_verdict(
-    rho, sigma, spec: ws.CostSpec, quantity: str = "distance", options=None
+    rho, sigma, spec: ws.CostSpec, quantity: str = "distance"
 ) -> CriterionReport:
     """Compare the optimum over general couplings against the PPT set.
 
@@ -141,8 +141,8 @@ def wasserstein_verdict(
     if quantity not in rows:
         raise DimensionMismatch(f"unknown quantity {quantity!r}")
     solver, direction = rows[quantity]
-    general = solver(rho, sigma, spec, cp.GENERAL, options)
-    restricted = solver(rho, sigma, spec, cp.PPT, options)
+    general = solver(rho, sigma, spec, cp.GENERAL)
+    restricted = solver(rho, sigma, spec, cp.PPT)
     certified = rho.dim == 2
     note = "all optimal couplings of the general problem are entangled"
     if not certified:
@@ -166,7 +166,7 @@ def wasserstein_verdict(
     return report
 
 
-def threshold_verdicts(rho, sigma, options=None) -> list:
+def threshold_verdicts(rho, sigma) -> list:
     """Fixed-threshold verdicts on the general-coupling optima.
 
     Evaluates, where the dimensions allow: the SU(d) distance against
@@ -192,7 +192,7 @@ def threshold_verdicts(rho, sigma, options=None) -> list:
         ]
     reports = []
     for name, solver, spec, bound, direction in rows:
-        value = solver(rho, sigma, spec, cp.GENERAL, options).value
+        value = solver(rho, sigma, spec, cp.GENERAL).value
         reports.append(_report(name, value, bound, direction, VERDICT_TOL))
     return reports
 

@@ -8,12 +8,13 @@ solver.  Everything here is a pure function of immutable inputs.
 ``partial_transpose``, ``realify``, ``herm_to_vec``, ``vec_to_herm`` and
 ``frob_inner`` also take a leading stack axis, (k, n, n) or (k, n^2), and
 act on every matrix of the stack at once; the coupling compiler hands
-them whole sets of constraint directions.  Realified blocks are 2 r1 r2
-wide for marginal ranks r1, r2 (8x8 for qubit couplings, 32x32 at
-d = 4) and at most 2 r1^n r2 wide for an n:1 extension, whose cones are
-split by their permutation symmetry: a 2:1 extension at d = 3 has blocks
-36, 18, 54, 36 and 18 wide.  Real data is embedded as its real part,
-r1 r2 wide (4x4 for the paper's real qubit pairs).
+them whole sets of constraint directions.  Realified blocks are at most
+2 r1^n r2 wide for marginal ranks r1, r2 and n first-marginal copies
+(8x8 for qubit couplings, 32x32 at d = 4), and split where the coupling
+set splits its cones: 2 r2 wide for classical_quantum, 2 r1 for
+quantum_classical, r1 (r1 + 1) for symmetric_ppt's Sym^2, and 36, 18,
+54, 36 and 18 for a 2:1 extension at d = 3.  Real data is embedded as
+its real part, half as wide (4x4 for the paper's real qubit pairs).
 """
 
 from __future__ import annotations

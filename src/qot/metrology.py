@@ -30,6 +30,8 @@ from .errors import DimensionMismatch, IrregularFunction
 from .qstates import HermitianOperator, as_density, as_operator
 
 DEG_TOL = 1e-9
+VALIDATE_SAMPLES = 25  # MonotoneFunction.validate's sample of t in (1e-3, 3)
+VALIDATE_SEED = 5
 
 
 def _pair(rho, h):
@@ -121,12 +123,13 @@ class MonotoneFunction:
         if self.f_zero <= 1e-14:
             raise IrregularFunction(f"{self.name}: f(0) = {self.f_zero!r} <= 0")
 
-    def validate(self, samples: int = 25, seed: int = 5) -> "MonotoneFunction":
+    def validate(self) -> "MonotoneFunction":
         """Check f(1) = 1 and f(t) = t f(1/t) on sampled t; operator
         monotonicity stays the caller's claim."""
         if abs(self.f(1.0) - 1.0) > 1e-12:
             raise IrregularFunction(f"{self.name}: f(1) != 1")
-        for t in np.random.default_rng(seed).uniform(1e-3, 3.0, size=samples):
+        rng = np.random.default_rng(VALIDATE_SEED)
+        for t in rng.uniform(1e-3, 3.0, size=VALIDATE_SAMPLES):
             if abs(self.f(t) - t * self.f(1.0 / t)) > 1e-12 * max(1.0, t):
                 raise IrregularFunction(f"{self.name}: f(t) != t f(1/t) at t={t:.3g}")
         return self

@@ -13,8 +13,8 @@ quantity only by a mean-shift correction fixed by the marginals.
 Coupling problems are passed to the SDP engine in a reduced form: the
 equality constraints are eliminated by parametrizing their null space, so
 the solver sees one constraint per free direction and one PSD block per
-diagonal block of each cone map (an extension's cones are split by their
-permutation symmetry, see coupling).  The optimizer of the original
+diagonal block of each cone map: the blocks of the variable and of an
+extension's cuts, see coupling.  The optimizer of the original
 problem is then read off the dual slack and projected back onto the
 constraint subspace, which makes the marginals of the returned coupling
 exact to roundoff.
@@ -122,7 +122,7 @@ def _solve_reduced(problem: cp.CouplingProblem, c_var, options):
     coupling set onto itself and keeps a real cost, so the average of an
     optimum and its conjugate is a real optimum.  The marginal rows are
     real or imaginary (g and m are real diagonal), and so are the
-    class-basis rows of the subspace; only the real ones, on the first
+    subspace rows; only the real ones, on the first
     n(n + 1)/2 coordinates, constrain a real variable."""
     n = problem.var_cdim
     real = not c_var.imag.any()
@@ -253,16 +253,14 @@ def _tilde(result: TransportResult, rho, sigma, spec: CostSpec) -> TransportResu
     return result
 
 
-def tilde_distance_squared(rho, sigma, spec, cset, options=None):
+def tilde_distance_squared(rho, sigma, spec, cset):
     """Distance with the second moment replaced by the variance of the
     two-body cost; equals the plain distance minus the mean-shift term."""
-    return _tilde(distance_squared(rho, sigma, spec, cset, options), rho, sigma, spec)
+    return _tilde(distance_squared(rho, sigma, spec, cset), rho, sigma, spec)
 
 
-def tilde_variance(rho, sigma, spec, cset, options=None):
-    return _tilde(
-        wasserstein_variance(rho, sigma, spec, cset, options), rho, sigma, spec
-    )
+def tilde_variance(rho, sigma, spec, cset):
+    return _tilde(wasserstein_variance(rho, sigma, spec, cset), rho, sigma, spec)
 
 
 # Normalized mode -> (kernel builder, cost convention, coupling set).
@@ -273,7 +271,7 @@ _GENERALIZED_MODES = {
 
 
 def generalized_distance_squared(
-    rho, sigma, h, f: metrology.MonotoneFunction, mode: str, options=None
+    rho, sigma, h, f: metrology.MonotoneFunction, mode: str
 ):
     """Distance family whose self-distance is a generalized QFI over 4.
 
@@ -290,12 +288,12 @@ def generalized_distance_squared(
     kernel, convention, cset = _GENERALIZED_MODES[key]
     observable = metrology.hadamard_transform(rho, kernel(rho, f), h)
     spec = CostSpec((observable,), convention)
-    result = distance_squared(rho, sigma, spec, cset, options)
+    result = distance_squared(rho, sigma, spec, cset)
     result.notes.append(f"kernel {f.name} built in the eigenbasis of rho")
     return result
 
 
-def self_distance_table(rho, h, options=None) -> list:
+def self_distance_table(rho, h) -> list:
     """Self-distance across coupling sets for one observable, with the
     matching closed-form identity for each row."""
     rho = as_density(rho)
@@ -311,7 +309,7 @@ def self_distance_table(rho, h, options=None) -> list:
     spec_dpt = CostSpec((h,), "dpt")
     spec_gmpc = CostSpec((h,), "gmpc")
 
-    res = distance_squared(rho, rho, spec_dpt, cp.GENERAL, options)
+    res = distance_squared(rho, rho, spec_dpt, cp.GENERAL)
     rows.append(
         {
             "set": "general",
@@ -322,7 +320,7 @@ def self_distance_table(rho, h, options=None) -> list:
             "diagnostics": res.diagnostics,
         }
     )
-    res = distance_squared(rho, rho, spec_gmpc, cp.PPT, options)
+    res = distance_squared(rho, rho, spec_gmpc, cp.PPT)
     fq4 = metrology.qfi(rho, h) / 4.0
     rows.append(
         {

@@ -265,6 +265,14 @@ class TestBuild:
         mixed = qs.validate_density(np.eye(2) / 2)
         with pytest.warns(DegenerateEigenbasis):
             cp.build(mixed, mixed, cp.CLASSICAL_QUANTUM, "gmpc")
+        # the anchor alone decides the blocks: the second marginal for
+        # quantum_classical, and a nondegenerate one is not flagged
+        rho = qs.random_density(2, np.random.default_rng(78))
+        with pytest.warns(DegenerateEigenbasis):
+            cp.build(rho, mixed, cp.QUANTUM_CLASSICAL, "dpt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateEigenbasis)
+            cp.build(mixed, rho, cp.QUANTUM_CLASSICAL, "dpt")
 
     def test_support_compression_note(self):
         rng = np.random.default_rng(65)
@@ -294,6 +302,80 @@ class TestBuild:
         assert not np.any(ops[:, :2, 2:]) and not np.any(ops[:, 2:, :2])
         w = problem.feasible_witness
         assert abs(w[0, 2]) < 1e-12 and abs(w[1, 3]) < 1e-12
+
+
+# (set, d, rank of the anchor): symmetric_ppt's one marginal,
+# classical_quantum's first and quantum_classical's second; full rank,
+# rank d - 1 and pure.
+BLOCK_CASES = [
+    (cset, d, rank)
+    for cset in (cp.SYMMETRIC_PPT, cp.CLASSICAL_QUANTUM, cp.QUANTUM_CLASSICAL)
+    for d in (2, 3)
+    for rank in sorted({d, d - 1, 1})
+]
+
+
+def block_problem(cset, d, rank, convention, seed):
+    """A restricted problem whose anchor marginal has the given rank; the
+    symmetric set gets one real state, as DPT needs rho^T = rho."""
+    rng = np.random.default_rng(seed)
+    if cset is cp.SYMMETRIC_PPT:
+        rho = sigma = ranked_state(d, rank, rng, real=True)
+    elif cset is cp.CLASSICAL_QUANTUM:
+        rho, sigma = ranked_state(d, rank, rng), ranked_state(d, d, rng)
+    else:
+        rho, sigma = ranked_state(d, d, rng), ranked_state(d, rank, rng)
+    return cp.build(rho, sigma, cset, convention)
+
+
+class TestRestrictedBlocks:
+    # symmetric_ppt, classical_quantum and quantum_classical restrict the
+    # variable to diagonal blocks: real isometries V with orthogonal
+    # ranges, and the subspace the operators V E V^T span.
+    @pytest.mark.parametrize("convention", ["dpt", "gmpc"])
+    @pytest.mark.parametrize("cset, d, rank", BLOCK_CASES)
+    def test_blocks_and_subspace(self, cset, d, rank, convention):
+        problem = block_problem(cset, d, rank, convention, [76, d, rank])
+        nc, blocks, sub = problem.var_cdim, problem.var_blocks, problem.subspace
+        w = problem.feasible_witness
+        images = [apply(w) for apply in problem.cone_maps]
+        assert min(np.linalg.eigvalsh(b)[0] for b in images) > 0
+        assert np.allclose(problem.variable(images), w, rtol=0, atol=1e-15)
+        if rank == 1 and cset is not cp.SYMMETRIC_PPT:
+            # a pure anchor has one eigenvector: one block, the whole space
+            assert blocks is None and sub is None
+            return
+        v = np.hstack(blocks)
+        assert np.isrealobj(v) and v.shape[0] == nc
+        assert np.allclose(v.T @ v, np.eye(v.shape[1]), rtol=0, atol=1e-15)
+        assert np.allclose(sub @ sub.T, np.eye(len(sub)), rtol=0, atol=1e-14)
+        assert len(sub) == sum(b.shape[1] ** 2 for b in blocks)
+        # each row on real coordinates alone or on imaginary ones alone,
+        # which the real path of the elimination relies on
+        keep = nc * (nc + 1) // 2
+        on_real, on_imag = sub[:, :keep].any(axis=1), sub[:, keep:].any(axis=1)
+        assert np.all(on_real != on_imag)
+        ops = np.concatenate([linalg.vec_to_herm(sub, nc), w[None]])
+        proj = [b @ b.T for b in blocks]
+        on_blocks = sum(p @ ops @ p for p in proj)
+        assert np.allclose(on_blocks, ops, rtol=0, atol=1e-15)
+
+    def test_block_sizes(self):
+        sizes = {}
+        for cset, d, rank in BLOCK_CASES:
+            problem = block_problem(cset, d, rank, "gmpc", [77, d, rank])
+            w = problem.feasible_witness
+            sizes[cset.kind, d, rank] = [len(apply(w)) for apply in problem.cone_maps]
+        # Sym^2 of the r x r variable, then its partial transpose
+        assert sizes["symmetric_ppt", 3, 3] == [6, 9]
+        assert sizes["symmetric_ppt", 3, 2] == [3, 4]
+        assert sizes["symmetric_ppt", 2, 1] == [1, 1]
+        # one block per anchor eigenvector, as wide as the other rank
+        assert sizes["classical_quantum", 3, 3] == [3, 3, 3]
+        assert sizes["classical_quantum", 3, 2] == [3, 3]
+        assert sizes["quantum_classical", 3, 2] == [3, 3]
+        assert sizes["quantum_classical", 2, 2] == [2, 2]
+        assert sizes["classical_quantum", 3, 1] == [3]
 
 
 # (d, n, rank of rho): full rank, rank d - 1 and pure, for the extensions

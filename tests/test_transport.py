@@ -187,6 +187,24 @@ class TestEnsembleFromCoupling:
         ch = tp.build_channel(e, mixed)
         assert np.linalg.norm(tp.apply(ch, mixed.matrix) - mixed.matrix) < 1e-6
 
+    def test_dpt_sources_are_conjugated(self):
+        # Under DPT the coupling's first marginal is rho^T, whose
+        # eigenvectors are those of rho conjugated: the DPT sources undo
+        # the conjugation and rebuild rho, the GMPC ones rebuild rho^T.
+        rng = np.random.default_rng(99)
+        rho, sigma = qs.random_density(2, rng), qs.random_density(2, rng)
+        product = np.kron(rho.matrix.T, sigma.matrix)
+        e = tp.ensemble_from_coupling(product, (2, 2), "dpt")
+        assert np.linalg.norm(e.source_state() - rho.matrix) < 1e-15
+        ch = tp.build_channel(e, rho)
+        assert np.linalg.norm(tp.apply(ch, rho.matrix) - sigma.matrix) < 1e-15
+        g = tp.ensemble_from_coupling(product, (2, 2), "gmpc")
+        miss = np.linalg.norm(g.source_state() - rho.matrix)
+        assert miss == pytest.approx(np.linalg.norm(rho.matrix.T - rho.matrix))
+        assert miss > 0.3
+        with pytest.raises(EnsembleMismatch):
+            tp.build_channel(g, rho)
+
     def test_entangled_coupling_rejected(self):
         me = qs.maximally_entangled(2)
         with pytest.raises(EnsembleMismatch):
